@@ -3,10 +3,31 @@
 //! This is the core of the Cologne query processor (Sec. 5.3–5.4 of the
 //! paper): solver derivation and constraint rules are evaluated bottom-up
 //! against the materialized regular tables, but the attributes whose values
-//! the solver must determine flow through the evaluation *symbolically* —
-//! each one is (or maps to) an integer variable of the [`cologne_solver`]
-//! model, and the selection/aggregation expressions that mention them are
+//! the solver must determine flow through the evaluation *symbolically*,
+//! and the selection/aggregation expressions that mention them are
 //! translated into solver constraints instead of being evaluated.
+//!
+//! # Symbolic attributes are affine expressions
+//!
+//! A symbolic attribute ([`Value::Sym`]) stands for an affine [`LinExpr`]
+//! over the variables of the [`cologne_solver`] model, not for a variable
+//! of its own. A `var`-declared attribute is its decision variable; linear
+//! arithmetic (`C==V*Cpu`, `C==Cpu+Cpu2`, `-X`) and `SUM<…>` only build
+//! bigger expressions. A variable is **materialized** — a fresh variable
+//! plus one `linear_eq` tying it to the expression — only where an
+//! operator needs one:
+//!
+//! * the operands of `STDEV`, `SUMABS`, `UNIQUE`, `MIN` and `MAX`;
+//! * both factors of a product of two symbolic values, and the operand of
+//!   `|·|`;
+//! * the goal attribute ([`GroundedCop::objective`] is a variable).
+//!
+//! Materialization is memoized per symbol: the symbol is rebound to its
+//! new variable, so every later use shares it. A comparison that must hold
+//! (a condition of a constraint or derivation rule) is posted directly as
+//! `linear_eq`/`linear_le`/`linear_ne` over the two sides' expressions; only
+//! a comparison nested inside another expression, such as the
+//! `(X==k)==rhs` indicator pattern, is reified into a 0/1 variable.
 //!
 //! # Plan / Run split
 //!
@@ -84,8 +105,10 @@ use crate::error::CologneError;
 pub struct GroundedCop {
     /// The constraint model, ready to be solved.
     pub model: Model,
-    /// Mapping from symbolic attribute ids ([`Value::Sym`]) to model variables.
-    pub syms: Vec<VarId>,
+    /// Mapping from symbolic attribute ids ([`Value::Sym`]) to the affine
+    /// expressions over model variables they stand for (see the module
+    /// docs). The symbols of `var`-declared attributes are plain variables.
+    pub syms: Vec<LinExpr>,
     /// Contents of every solver table produced during grounding. Tuples may
     /// contain `Value::Sym` attributes referring into `syms`.
     pub solver_tables: BTreeMap<String, Vec<Tuple>>,
@@ -102,10 +125,11 @@ impl GroundedCop {
         self.model.num_vars() == 0
     }
 
-    /// Resolve a grounded value against a solver assignment.
+    /// Resolve a grounded value against a solver assignment: a symbolic
+    /// attribute evaluates its expression.
     pub fn resolve(&self, value: &Value, assignment: &cologne_solver::Assignment) -> Value {
         match value {
-            Value::Sym(sym) => Value::Int(assignment.value(self.syms[sym.0 as usize])),
+            Value::Sym(sym) => Value::Int(self.syms[sym.0 as usize].eval(|v| assignment.value(v))),
             other => other.clone(),
         }
     }
@@ -459,7 +483,7 @@ fn derivation_rule_order(program: &Program, analysis: &Analysis) -> Vec<usize> {
 #[derive(Default)]
 pub struct GroundingScratch {
     model: Model,
-    syms: Vec<VarId>,
+    syms: Vec<LinExpr>,
     pub(crate) space: SearchSpace,
     /// Per-`var`-declaration replay caches (see [`VarDeclCache`]), refreshed
     /// on every grounding. Cleared whenever the parameters change — a cache
@@ -517,9 +541,12 @@ type ObjectiveSpec = (Option<(GoalKind, VarId)>, Option<String>);
 enum SymVal {
     /// A fully-known integer.
     Concrete(i64),
+    /// A symbolic attribute, kept by symbol so an operator that needs a
+    /// variable materializes it once per symbol.
+    Sym(SymId),
     /// A linear expression over solver variables.
     Linear(LinExpr),
-    /// A 0/1 solver variable carrying the truth value of a comparison.
+    /// A 0/1 solver variable carrying the truth value of a nested comparison.
     Bool(VarId),
 }
 
@@ -541,7 +568,7 @@ struct GroundingRun<'a> {
     /// Replay caches, one slot per `var` declaration (refreshed as we go).
     var_caches: &'a mut Vec<Option<VarDeclCache>>,
     model: Model,
-    syms: Vec<VarId>,
+    syms: Vec<LinExpr>,
     solver_tables: BTreeMap<String, Vec<Tuple>>,
     /// Per-run memo of engine tables: the engine is immutable for the
     /// duration of a grounding, and the same relation is read once per rule
@@ -552,13 +579,42 @@ struct GroundingRun<'a> {
 }
 
 impl<'a> GroundingRun<'a> {
-    fn new_sym(&mut self, var: VarId) -> Value {
-        self.syms.push(var);
+    fn new_sym(&mut self, expr: LinExpr) -> Value {
+        self.syms.push(expr);
         Value::Sym(SymId((self.syms.len() - 1) as u32))
     }
 
-    fn sym_var(&self, id: SymId) -> VarId {
-        self.syms[id.0 as usize]
+    fn sym_expr(&self, id: SymId) -> &LinExpr {
+        &self.syms[id.0 as usize]
+    }
+
+    /// The variable a symbol stands for, materializing it on first need: a
+    /// symbol that is not already a plain variable gets a fresh variable
+    /// equal to its expression and is rebound to it, so later uses share
+    /// the variable (the memo of the module docs).
+    fn materialize_sym(&mut self, id: SymId) -> VarId {
+        if let Some(var) = self.sym_expr(id).as_var() {
+            return var;
+        }
+        let slot = &mut self.syms[id.0 as usize];
+        let var = self.model.expr_var(slot);
+        *slot = LinExpr::var(var);
+        var
+    }
+
+    /// The variable a translated operand stands for (symbols are memoized,
+    /// other non-trivial expressions get a fresh variable each time).
+    fn symval_var(&mut self, val: SymVal) -> VarId {
+        match val {
+            SymVal::Sym(s) => self.materialize_sym(s),
+            other => {
+                let lin = self.symval_to_linear(other).normalized();
+                match lin.as_var() {
+                    Some(var) => var,
+                    None => self.model.expr_var(&lin),
+                }
+            }
+        }
     }
 
     fn is_solver_table(&self, relation: &str) -> bool {
@@ -629,7 +685,7 @@ impl<'a> GroundingRun<'a> {
                         // by aggregates/expressions stay unmarked — they are
                         // functionally determined by these).
                         self.model.mark_decision(var);
-                        row.push(self.new_sym(var));
+                        row.push(self.new_sym(LinExpr::var(var)));
                     } else {
                         match arg {
                             Arg::Loc(v) | Arg::Var(v) => match bindings.get(v) {
@@ -674,7 +730,8 @@ impl<'a> GroundingRun<'a> {
     fn capture_var_decl(&mut self, vp: &VarPlan, sym_start: usize, row_start: usize) {
         let names: Vec<String> = self.syms[sym_start..]
             .iter()
-            .map(|&var| {
+            .map(|expr| {
+                let var = expr.as_var().expect("var-declared symbols are variables");
                 self.model
                     .var_name(var)
                     .expect("var-declared solver variables are named")
@@ -708,7 +765,7 @@ impl<'a> GroundingRun<'a> {
                 .model
                 .new_named_var(domain.lo, domain.hi, Some(name.clone()));
             self.model.mark_decision(var);
-            self.syms.push(var);
+            self.syms.push(LinExpr::var(var));
         }
         let shift = |v: &Value| match v {
             Value::Sym(s) => {
@@ -874,32 +931,42 @@ impl<'a> GroundingRun<'a> {
         if all_concrete {
             return Ok(func.compute(operands));
         }
-        // Convert operands to solver variables (constants become fixed vars).
+        match func {
+            // A sum stays an expression over its operands' expressions.
+            AggFunc::Sum => {
+                let mut sum = LinExpr::zero();
+                for v in operands {
+                    match v {
+                        Value::Sym(s) => sum.add_expr(self.sym_expr(*s)),
+                        other => sum.add_constant(concrete_int(other)),
+                    }
+                }
+                return Ok(self.symval_to_value(SymVal::Linear(sum)));
+            }
+            AggFunc::Count => return Ok(Value::Int(operands.len() as i64)),
+            _ => {}
+        }
+        // The remaining aggregates need their operands as variables
+        // (constants become fixed variables).
         let vars: Vec<VarId> = operands
             .iter()
             .map(|v| match v {
-                Value::Sym(s) => self.sym_var(*s),
-                other => {
-                    let c = other.as_f64().unwrap_or(0.0).round() as i64;
-                    self.model.new_const(c)
-                }
+                Value::Sym(s) => self.materialize_sym(*s),
+                other => self.model.new_const(concrete_int(other)),
             })
             .collect();
         let result_var = match func {
-            AggFunc::Sum => {
-                let terms: Vec<(i64, VarId)> = vars.iter().map(|&v| (1, v)).collect();
-                self.model.linear_var(&terms, 0)
-            }
             AggFunc::SumAbs => self.model.sum_abs_var(&vars),
-            AggFunc::Count => return Ok(Value::Int(operands.len() as i64)),
             AggFunc::Unique => self.model.nvalues_var(&vars),
             AggFunc::Min => self.model.min_var(&vars),
             AggFunc::Max => self.model.max_var(&vars),
             // STDEV is lowered to the scaled integer variance
-            // n·Σx² − (Σx)², which has the same argmin (see DESIGN.md).
+            // n·Σx² − (Σx)², which has the same argmin (see
+            // `Model::scaled_variance_var`).
             AggFunc::Stdev => self.model.scaled_variance_var(&vars),
+            AggFunc::Sum | AggFunc::Count => unreachable!("handled above"),
         };
-        Ok(self.new_sym(result_var))
+        Ok(self.new_sym(LinExpr::var(result_var)))
     }
 
     // ----- solver constraint rules -------------------------------------------
@@ -1014,8 +1081,8 @@ impl<'a> GroundingRun<'a> {
     fn post_value_equality(&mut self, a: &Value, b: &Value) {
         let to_expr = |g: &Self, v: &Value| -> LinExpr {
             match v {
-                Value::Sym(s) => LinExpr::var(g.sym_var(*s)),
-                other => LinExpr::constant(other.as_f64().unwrap_or(0.0).round() as i64),
+                Value::Sym(s) => g.sym_expr(*s).clone(),
+                other => LinExpr::constant(concrete_int(other)),
             }
         };
         let diff = to_expr(self, a).minus(&to_expr(self, b)).normalized();
@@ -1027,26 +1094,21 @@ impl<'a> GroundingRun<'a> {
     fn symval_to_value(&mut self, val: SymVal) -> Value {
         match val {
             SymVal::Concrete(c) => Value::Int(c),
-            SymVal::Bool(v) => self.new_sym(v),
-            SymVal::Linear(l) => {
-                let n = l.normalized();
-                if n.terms.is_empty() {
-                    Value::Int(n.constant)
-                } else if n.terms.len() == 1 && n.terms[0].0 == 1 && n.constant == 0 {
-                    // Reuse the existing variable instead of creating an alias.
-                    let var = n.terms[0].1;
-                    self.new_sym(var)
+            other => {
+                let lin = self.symval_to_linear(other).normalized();
+                if lin.terms.is_empty() {
+                    Value::Int(lin.constant)
                 } else {
-                    let var = self.model.expr_var(&n);
-                    self.new_sym(var)
+                    self.new_sym(lin)
                 }
             }
         }
     }
 
-    fn symval_to_linear(&mut self, val: SymVal) -> LinExpr {
+    fn symval_to_linear(&self, val: SymVal) -> LinExpr {
         match val {
             SymVal::Concrete(c) => LinExpr::constant(c),
+            SymVal::Sym(s) => self.sym_expr(s).clone(),
             SymVal::Linear(l) => l,
             SymVal::Bool(v) => LinExpr::var(v),
         }
@@ -1106,36 +1168,60 @@ impl<'a> GroundingRun<'a> {
                         terms.push((-c, v));
                     }
                     self.model.linear_eq(&terms, cond_lin.constant);
-                    let sym = self.new_sym(x_var);
+                    let sym = self.new_sym(LinExpr::var(x_var));
                     bindings.set(x, sym);
                     return Ok(true);
                 }
             }
         }
-        // Pattern 3: fully translatable expression.
-        let val = self.translate(rule, expr, bindings)?;
-        match val {
-            SymVal::Concrete(c) => {
-                if c != 0 {
-                    Ok(true)
-                } else if force {
-                    // Constraint rule with a violated concrete body: the model
-                    // is infeasible.
-                    self.model.linear_eq(&[], 1);
-                    Ok(true)
-                } else {
-                    Ok(false)
+        // Pattern 3: a comparison that must hold, posted directly as a
+        // linear constraint over the two sides' expressions.
+        if let CExpr::Bin(op, a, b) = expr {
+            if op.is_comparison() {
+                let lhs = self.translate(rule, a, bindings)?;
+                let rhs = self.translate(rule, b, bindings)?;
+                if let (SymVal::Concrete(x), SymVal::Concrete(y)) = (&lhs, &rhs) {
+                    return Ok(self.concrete_condition(compare(*op, *x, *y), force));
                 }
+                let diff = self
+                    .symval_to_linear(lhs)
+                    .minus(&self.symval_to_linear(rhs))
+                    .normalized();
+                self.post_comparison(*op, &diff);
+                return Ok(true);
             }
-            SymVal::Bool(b) => {
-                // The expression must hold.
-                self.model.linear_eq(&[(1, b)], 1);
-                Ok(true)
-            }
-            SymVal::Linear(_) => Err(CologneError::UnsupportedExpression {
+        }
+        // Any other condition must be concrete.
+        match self.translate(rule, expr, bindings)? {
+            SymVal::Concrete(c) => Ok(self.concrete_condition(c != 0, force)),
+            _ => Err(CologneError::UnsupportedExpression {
                 rule: rule.label.clone(),
                 detail: "non-boolean expression used as a condition".into(),
             }),
+        }
+    }
+
+    /// Apply a condition whose truth value is known: a false one drops the
+    /// binding in a derivation rule, and makes the model infeasible in a
+    /// constraint rule (`force`). Returns whether the binding survives.
+    fn concrete_condition(&mut self, holds: bool, force: bool) -> bool {
+        if !holds && force {
+            self.model.linear_eq(&[], 1);
+        }
+        holds || force
+    }
+
+    /// Post `diff op 0` as a (non-reified) linear constraint.
+    fn post_comparison(&mut self, op: COp, diff: &LinExpr) {
+        let (terms, rhs) = (&diff.terms[..], -diff.constant);
+        match op {
+            COp::Eq => self.model.linear_eq(terms, rhs),
+            COp::Ne => self.model.linear_ne(terms, rhs),
+            COp::Le => self.model.linear_le(terms, rhs),
+            COp::Lt => self.model.linear_le(terms, rhs - 1),
+            COp::Ge => self.model.linear_ge(terms, rhs),
+            COp::Gt => self.model.linear_ge(terms, rhs + 1),
+            _ => unreachable!("{op:?} is not a comparison"),
         }
     }
 
@@ -1148,7 +1234,7 @@ impl<'a> GroundingRun<'a> {
     ) -> Result<SymVal, CologneError> {
         match expr {
             CExpr::Var(v) => match bindings.get(v) {
-                Some(Value::Sym(s)) => Ok(SymVal::Linear(LinExpr::var(self.sym_var(*s)))),
+                Some(Value::Sym(s)) => Ok(SymVal::Sym(*s)),
                 Some(Value::Int(i)) => Ok(SymVal::Concrete(*i)),
                 Some(Value::Bool(b)) => Ok(SymVal::Concrete(i64::from(*b))),
                 Some(Value::Float(f)) => Ok(SymVal::Concrete(f.0.round() as i64)),
@@ -1171,9 +1257,7 @@ impl<'a> GroundingRun<'a> {
             },
             CExpr::Lit(lit) => {
                 let value = crate::translate::literal_to_value(lit, self.params)?;
-                Ok(SymVal::Concrete(
-                    value.as_f64().unwrap_or(0.0).round() as i64
-                ))
+                Ok(SymVal::Concrete(concrete_int(&value)))
             }
             CExpr::Neg(inner) => {
                 let v = self.translate(rule, inner, bindings)?;
@@ -1187,8 +1271,7 @@ impl<'a> GroundingRun<'a> {
                 match v {
                     SymVal::Concrete(c) => Ok(SymVal::Concrete(c.abs())),
                     other => {
-                        let lin = self.symval_to_linear(other);
-                        let base = self.model.expr_var(&lin);
+                        let base = self.symval_var(other);
                         let abs = self.model.abs_var(base);
                         Ok(SymVal::Linear(LinExpr::var(abs)))
                     }
@@ -1230,10 +1313,8 @@ impl<'a> GroundingRun<'a> {
                     Ok(SymVal::Linear(l.scale(a)))
                 }
                 (a, b) => {
-                    let la = self.symval_to_linear(a);
-                    let lb = self.symval_to_linear(b);
-                    let va = self.model.expr_var(&la);
-                    let vb = self.model.expr_var(&lb);
+                    let va = self.symval_var(a);
+                    let vb = self.symval_var(b);
                     let prod = self.model.mul_var(va, vb);
                     Ok(SymVal::Linear(LinExpr::var(prod)))
                 }
@@ -1247,16 +1328,7 @@ impl<'a> GroundingRun<'a> {
             },
             Eq | Ne | Lt | Le | Gt | Ge => {
                 if let (SymVal::Concrete(a), SymVal::Concrete(b)) = (&lhs, &rhs) {
-                    let holds = match op {
-                        Eq => a == b,
-                        Ne => a != b,
-                        Lt => a < b,
-                        Le => a <= b,
-                        Gt => a > b,
-                        Ge => a >= b,
-                        _ => unreachable!(),
-                    };
-                    return Ok(SymVal::Concrete(i64::from(holds)));
+                    return Ok(SymVal::Concrete(i64::from(compare(op, *a, *b))));
                 }
                 let l = self.symval_to_linear(lhs);
                 let r = self.symval_to_linear(rhs);
@@ -1302,26 +1374,44 @@ impl<'a> GroundingRun<'a> {
         }
         let position = goal.position.expect("non-satisfy goals have a position");
         let tuples = self.table_tuples(&goal.relation);
-        let mut terms: Vec<(i64, VarId)> = Vec::new();
-        let mut constant = 0i64;
-        for t in tuples.iter() {
-            match t.get(position) {
-                Some(Value::Sym(s)) => terms.push((1, self.sym_var(*s))),
-                Some(other) => constant += other.as_f64().unwrap_or(0.0).round() as i64,
-                None => {}
-            }
-        }
-        if terms.is_empty() && tuples.is_empty() {
+        if tuples.is_empty() {
             // Nothing to optimize: leave the objective out; the caller treats
             // the COP as trivially solved.
             return Ok((None, Some(goal.relation.clone())));
         }
-        let objective = if terms.len() == 1 && constant == 0 {
-            terms[0].1
-        } else {
-            self.model.linear_var(&terms, constant)
+        let mut objective = LinExpr::zero();
+        for t in tuples.iter() {
+            match t.get(position) {
+                Some(Value::Sym(s)) => objective.add_expr(self.sym_expr(*s)),
+                Some(other) => objective.add_constant(concrete_int(other)),
+                None => {}
+            }
+        }
+        // The goal attribute is materialized: the search bounds a variable.
+        let objective = objective.normalized();
+        let var = match objective.as_var() {
+            Some(var) => var,
+            None => self.model.linear_var(&objective.terms, objective.constant),
         };
-        Ok((Some((goal.kind, objective)), Some(goal.relation.clone())))
+        Ok((Some((goal.kind, var)), Some(goal.relation.clone())))
+    }
+}
+
+/// The integer a concrete value contributes to solver arithmetic.
+fn concrete_int(value: &Value) -> i64 {
+    value.as_f64().unwrap_or(0.0).round() as i64
+}
+
+/// Truth value of a comparison between two known integers.
+fn compare(op: COp, a: i64, b: i64) -> bool {
+    match op {
+        COp::Eq => a == b,
+        COp::Ne => a != b,
+        COp::Lt => a < b,
+        COp::Le => a <= b,
+        COp::Gt => a > b,
+        COp::Ge => a >= b,
+        _ => unreachable!("{op:?} is not a comparison"),
     }
 }
 
@@ -1358,7 +1448,7 @@ mod tests {
     use super::*;
     use cologne_colog::{analyze, parse_program, VarDomain};
     use cologne_datalog::NodeId;
-    use cologne_solver::SearchConfig;
+    use cologne_solver::{LinearView, SearchConfig};
 
     const MINI_ACLOUD: &str = r#"
         goal minimize C in hostStdevCpu(C).
@@ -1465,6 +1555,145 @@ mod tests {
                 .map(|r| cop.resolve(&r[2], &best).as_int().unwrap() * 4)
                 .sum();
             assert!(mem <= 4, "host {hid} over memory: {mem}");
+        }
+    }
+
+    /// A fixed ACloud snapshot: 6 one-GB VMs over 4 hosts with background
+    /// load and room for 2 VMs each.
+    fn acloud_snapshot_engine() -> Engine {
+        let mut e = Engine::new(NodeId(0));
+        for (vid, cpu, mem) in [
+            (1, 45, 1),
+            (2, 60, 1),
+            (3, 30, 1),
+            (4, 80, 1),
+            (5, 25, 1),
+            (6, 50, 1),
+        ] {
+            e.insert(
+                "vm",
+                vec![Value::Int(vid), Value::Int(cpu), Value::Int(mem)],
+            );
+        }
+        for (hid, background) in [(10, 12), (11, 0), (12, 30), (13, 5)] {
+            e.insert(
+                "host",
+                vec![Value::Int(hid), Value::Int(background), Value::Int(0)],
+            );
+            e.insert("hostMemThres", vec![Value::Int(hid), Value::Int(2)]);
+        }
+        e
+    }
+
+    /// The lowering of [`acloud_snapshot_engine`]: 35 variables and 21
+    /// propagators, where one variable per symbolic attribute and one
+    /// reified boolean per forced comparison took 82 and 68.
+    #[test]
+    fn acloud_lowering_has_no_aliases_or_forced_reifications() {
+        let mut engine = acloud_snapshot_engine();
+        let mut cop = ground_mini_acloud(&mut engine, MINI_ACLOUD);
+        // 24 decisions, 4 materialized host loads (the STDEV operands), and
+        // the scaled variance's 4 squares, sum, squared sum and result.
+        assert_eq!(cop.model.decision_vars().len(), 24);
+        assert_eq!(cop.model.num_vars(), 35);
+        // 4 host-load equalities, 7 scaled-variance propagators, one
+        // `Σ assign == 1` per VM (c1) and one memory `≤` per host (c2).
+        assert_eq!(cop.model.num_propagators(), 21);
+        let (_, objective) = cop.objective.expect("minimize goal");
+        assert_eq!(objective.index(), 34, "the STDEV variable is the goal");
+        for p in cop.model.propagators() {
+            if let Some(LinearView::Eq { terms, bound: 0 }) = p.linear_view() {
+                let alias = terms.len() == 2 && terms.iter().any(|&(c, _)| c.abs() == 1);
+                assert!(!alias, "alias equality {terms:?} survived");
+            }
+        }
+        cop.model.propagate_root().expect("snapshot is feasible");
+        for p in cop.model.propagators() {
+            if p.name().starts_with("reif_") {
+                let b = *p.dependencies().last().expect("reified boolean");
+                assert!(
+                    !cop.model.domain(b).is_fixed(),
+                    "{} fixed at root",
+                    p.name()
+                );
+            }
+        }
+        // Derived solver attributes resolve through their expressions.
+        let best = cop.solve(&SearchConfig::default()).best.expect("feasible");
+        for row in &cop.solver_tables["hostCpu"] {
+            let hid = row[0].clone();
+            let expected: i64 = cop.solver_tables["assign"]
+                .iter()
+                .filter(|a| a[1] == hid)
+                .map(|a| {
+                    let cpu = engine
+                        .tuples("vm")
+                        .iter()
+                        .find(|vm| vm[0] == a[0])
+                        .and_then(|vm| vm[1].as_int())
+                        .unwrap();
+                    cop.resolve(&a[2], &best).as_int().unwrap() * cpu
+                })
+                .sum();
+            assert_eq!(cop.resolve(&row[1], &best), Value::Int(expected));
+        }
+    }
+
+    #[test]
+    fn shared_symbol_is_materialized_once() {
+        // The host loads feed two aggregates that need variables: each load
+        // is materialized once and both aggregates share it.
+        let src = r#"
+            goal minimize C in hostStdevCpu(C).
+            var assign(Vid,Hid,V) forall toAssign(Vid,Hid).
+            r1 toAssign(Vid,Hid) <- vm(Vid,Cpu,Mem), host(Hid,Cpu2,Mem2).
+            d1 hostCpu(Hid,SUM<C>) <- assign(Vid,Hid,V), vm(Vid,Cpu,Mem), C==V*Cpu.
+            d2 hostLoad(Hid,C) <- host(Hid,Cpu,Mem), hostCpu(Hid,Cpu2), C==Cpu+Cpu2.
+            d3 hostStdevCpu(STDEV<C>) <- hostLoad(Hid,C).
+            d4 hostPeak(MAX<C>) <- hostLoad(Hid,C).
+            d5 assignCount(Vid,SUM<V>) <- assign(Vid,Hid,V).
+            c1 assignCount(Vid,V) -> V==1.
+        "#;
+        let mut engine = acloud_snapshot_engine();
+        let cop = ground_mini_acloud(&mut engine, src);
+        // 24 decisions + 4 loads + 7 scaled-variance variables + 1 maximum.
+        assert_eq!(cop.model.num_vars(), 36);
+        let best = cop.solve(&SearchConfig::default()).best.expect("feasible");
+        let loads: Vec<i64> = cop.solver_tables["hostLoad"]
+            .iter()
+            .map(|row| cop.resolve(&row[1], &best).as_int().unwrap())
+            .collect();
+        let peak = cop.resolve(&cop.solver_tables["hostPeak"][0][0], &best);
+        assert_eq!(peak, Value::Int(*loads.iter().max().unwrap()));
+    }
+
+    #[test]
+    fn forced_comparisons_post_plain_linear_constraints() {
+        // Every operator of a forced comparison lowers to one linear
+        // propagator over the decision variable, with no reified boolean.
+        for (cmp, name) in [
+            ("V==1", "linear_eq"),
+            ("V!=0", "linear_ne"),
+            ("1<=V", "linear_le"),
+            ("0<V", "linear_le"),
+            ("V>=1", "linear_le"),
+            ("V>0", "linear_le"),
+        ] {
+            let src = format!(
+                "goal satisfy V in assign(Vid,Hid,V).
+                var assign(Vid,Hid,V) forall toAssign(Vid,Hid).
+                r1 toAssign(Vid,Hid) <- vm(Vid,Cpu,Mem), host(Hid,Cpu2,Mem2).
+                c1 assign(Vid,Hid,V) -> {cmp}."
+            );
+            let mut engine = mini_acloud_engine();
+            let cop = ground_mini_acloud(&mut engine, &src);
+            assert_eq!(cop.model.num_vars(), 4, "{cmp}");
+            let names: Vec<&str> = cop.model.propagators().iter().map(|p| p.name()).collect();
+            assert_eq!(names, vec![name; 4], "{cmp}");
+            let best = cop.solve(&SearchConfig::default()).best.expect("feasible");
+            for row in &cop.solver_tables["assign"] {
+                assert_eq!(cop.resolve(&row[2], &best), Value::Int(1), "{cmp}");
+            }
         }
     }
 

@@ -363,11 +363,14 @@ impl SolvePipeline {
             if let Some(objective) = cop_objective(cop) {
                 let hints = self.warm_hints(cop);
                 if !hints.is_empty() {
-                    // The probe's fail budget scales with the model: hint
-                    // completion only searches over the (typically few)
-                    // unhinted variables, so a budget this size trips only
-                    // when the remembered solution is badly obsolete.
-                    let fail_limit = 256 + 4 * cop.model.num_vars() as u64;
+                    // The probe's fail budget scales with the decision
+                    // variables, so it does not move with how many auxiliary
+                    // variables the lowering makes. Hint completion searches
+                    // only the unhinted decisions, but under the remembered
+                    // values it often hits this budget before completing
+                    // (on ACloud rounds it usually does); the full search
+                    // then starts from the best completion found, if any.
+                    let fail_limit = 256 + 4 * cop.model.decision_vars().len() as u64;
                     config.warm_start = complete_hints(
                         &cop.model,
                         objective,
@@ -408,7 +411,10 @@ impl SolvePipeline {
                         .get(&(decl, pos))
                         .and_then(|per_row| per_row.get(&key))
                     {
-                        hints.push((cop.syms[sym.0 as usize], hint));
+                        let var = cop.syms[sym.0 as usize]
+                            .as_var()
+                            .expect("var-declared symbols are variables");
+                        hints.push((var, hint));
                     }
                 }
             }
@@ -430,7 +436,7 @@ impl SolvePipeline {
                 let key = concrete_key(row, &vp.is_solver_position);
                 for (pos, value) in row.iter().enumerate() {
                     let Value::Sym(sym) = value else { continue };
-                    let assigned = best.value(cop.syms[sym.0 as usize]);
+                    let assigned = cop.syms[sym.0 as usize].eval(|v| best.value(v));
                     self.warm
                         .entry((decl, pos))
                         .or_default()

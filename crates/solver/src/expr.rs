@@ -94,6 +94,22 @@ impl LinExpr {
         self.normalized().terms.is_empty()
     }
 
+    /// The variable `v` when the expression is exactly `1 · v` (as written:
+    /// the check does not normalize).
+    pub fn as_var(&self) -> Option<VarId> {
+        match self.terms[..] {
+            [(1, v)] if self.constant == 0 => Some(v),
+            _ => None,
+        }
+    }
+
+    /// Value of the expression under an assignment of its variables.
+    pub fn eval(&self, value: impl Fn(VarId) -> i64) -> i64 {
+        self.terms
+            .iter()
+            .fold(self.constant, |acc, &(c, v)| acc + c * value(v))
+    }
+
     /// Merge duplicate variables and drop zero coefficients.
     pub fn normalized(&self) -> LinExpr {
         let mut merged: Vec<(i64, VarId)> = Vec::with_capacity(self.terms.len());
@@ -166,6 +182,21 @@ mod tests {
         let e = LinExpr::var(x).minus(&LinExpr::var(x)).normalized();
         assert!(e.is_constant());
         assert_eq!(e.constant, 0);
+    }
+
+    #[test]
+    fn as_var_and_eval() {
+        let mut m = Model::new();
+        let x = m.new_var(0, 5);
+        let y = m.new_var(0, 5);
+        assert_eq!(LinExpr::var(x).as_var(), Some(x));
+        assert_eq!(LinExpr::scaled_var(2, x).as_var(), None);
+        assert_eq!(LinExpr::var(x).plus(&LinExpr::constant(1)).as_var(), None);
+        let e = LinExpr::scaled_var(3, x)
+            .minus(&LinExpr::var(y))
+            .plus(&LinExpr::constant(4));
+        let value = |v: VarId| if v == x { 2 } else { 5 };
+        assert_eq!(e.eval(value), 3 * 2 - 5 + 4);
     }
 
     #[test]

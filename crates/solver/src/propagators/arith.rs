@@ -118,31 +118,41 @@ impl Propagator for Square {
     }
 
     fn prune(&self, ctx: &mut PropagatorContext<'_>) -> Result<PropStatus, Conflict> {
-        let xl = ctx.min(self.x);
-        let xu = ctx.max(self.x);
-        let zu = (xl * xl).max(xu * xu);
-        let zl = if xl <= 0 && xu >= 0 {
-            0
-        } else {
-            (xl * xl).min(xu * xu)
-        };
-        ctx.intersect(self.z, zl, zu)?;
-        // From z's upper bound: |x| <= floor(sqrt(z_max)).
-        let zmax = ctx.max(self.z);
-        if zmax >= 0 {
+        // Iterate to this propagator's own fixpoint: clipping `x` to
+        // `|x| <= floor(sqrt(z_max))` can lower the square's upper bound
+        // below `z_max` (e.g. `z <= 10` clips `x <= 3`, so `z <= 9`), so the
+        // pass repeats until it changes nothing. That loop is what makes
+        // `idempotent` sound.
+        loop {
+            let xl = ctx.min(self.x);
+            let xu = ctx.max(self.x);
+            let zu = (xl * xl).max(xu * xu);
+            let zl = if xl <= 0 && xu >= 0 {
+                0
+            } else {
+                (xl * xl).min(xu * xu)
+            };
+            let mut changed = ctx.intersect(self.z, zl, zu)?;
+            // From z's upper bound: |x| <= floor(sqrt(z_max)).
+            let zmax = ctx.max(self.z);
+            if zmax < 0 {
+                return Err(Conflict);
+            }
             let root = isqrt(zmax);
-            ctx.intersect(self.x, -root, root.max(ctx.max(self.x).min(root)))?;
-            ctx.set_max(self.x, root)?;
-            ctx.set_min(self.x, -root)?;
-        } else {
-            return Err(Conflict);
+            changed |= ctx.intersect(self.x, -root, root)?;
+            if ctx.is_fixed(self.x) {
+                let v = ctx.fixed_value(self.x).unwrap();
+                ctx.assign(self.z, v * v)?;
+                return Ok(PropStatus::Entailed);
+            }
+            if !changed {
+                return Ok(PropStatus::Active);
+            }
         }
-        if ctx.is_fixed(self.x) {
-            let v = ctx.fixed_value(self.x).unwrap();
-            ctx.assign(self.z, v * v)?;
-            return Ok(PropStatus::Entailed);
-        }
-        Ok(PropStatus::Active)
+    }
+
+    fn idempotent(&self) -> bool {
+        true
     }
 
     fn check(&self, values: &dyn Fn(VarId) -> i64) -> bool {
@@ -343,6 +353,36 @@ mod tests {
         for v in 0..200i64 {
             let r = isqrt(v);
             assert!(r * r <= v && (r + 1) * (r + 1) > v, "v={v} r={r}");
+        }
+    }
+
+    #[test]
+    fn square_prune_reaches_its_own_fixpoint() {
+        // `idempotent` claims a second pass never prunes: check it over
+        // every small pair of x and z ranges (including holed z domains).
+        use crate::domain::Domain;
+        use crate::store::Store;
+        let (x, z) = (VarId::from_index(0), VarId::from_index(1));
+        let sq = Square::new(z, x);
+        let run = |store: &mut Store| {
+            let (mut changed, mut prunings) = (Vec::new(), 0);
+            let result = sq.prune(&mut PropagatorContext::new(
+                store,
+                &mut changed,
+                &mut prunings,
+            ));
+            result.map(|_| changed.len())
+        };
+        for (xl, xu) in [(-4, 4), (-5, 2), (2, 6), (-6, -1), (0, 5)] {
+            for zu in 0..40 {
+                for z_dom in [Domain::new(0, zu), Domain::from_values(&[0, 1, 4, 10, zu])] {
+                    let mut store = Store::from_domains(vec![Domain::new(xl, xu), z_dom]);
+                    if run(&mut store).is_err() {
+                        continue;
+                    }
+                    assert_eq!(run(&mut store), Ok(0), "x [{xl},{xu}] z<={zu}");
+                }
+            }
         }
     }
 
