@@ -32,22 +32,61 @@
 //! # Plan / Run split
 //!
 //! Solver invocations recur on every monitoring epoch and after every input
-//! delta, so grounding is staged into two explicit phases:
+//! delta, so grounding is staged into a compiled program and its execution:
 //!
-//! * [`GroundingPlan`] — the **per-program** stage, built once per compiled
+//! * [`GroundingPlan`] — the **per-program** stage, compiled once per
 //!   program (at [`crate::CologneInstance::new`] time) from the static
-//!   [`Analysis`]. It caches everything that does not depend on table
-//!   contents: the topological evaluation order of the solver derivation
-//!   rules, the pre-assembled `head + body` element lists of the constraint
-//!   rules, the solver-variable layout of each `var` declaration (which
-//!   argument positions are solver attributes, and their domain from
-//!   [`ProgramParams`]), and the goal relation/position. The plan is only
-//!   rebuilt when the parameters change.
-//! * `GroundingRun` (private) — the **per-invocation** stage: joins the rule bodies
-//!   against the current engine state, allocates solver variables and posts
-//!   constraints, producing a [`GroundedCop`]. Its model and symbol table are
-//!   taken from a [`GroundingScratch`], which recycles the solver arena
-//!   (via [`Model::reset`]) across invocations instead of reallocating it.
+//!   [`Analysis`] and the [`ProgramParams`], and rebuilt only when the
+//!   parameters change. Every `var` declaration, solver derivation rule
+//!   (in topological order), constraint rule (`head -> body` compiled as
+//!   the join of the head and the body) and the goal is compiled once:
+//!   - each rule variable gets a **slot**, so a binding is a fixed-width
+//!     row of values and no name is looked up while grounding;
+//!   - each predicate argument becomes one action — bind a slot, check a
+//!     slot, check an earlier position of the same tuple, or check a
+//!     constant (literals and named parameters resolved in advance) — and
+//!     each predicate knows whether it reads a regular engine relation or
+//!     a solver table produced earlier in the schedule;
+//!   - each body expression becomes a tree over slots and resolved
+//!     constants, with `translate`'s patterns (`X==rhs` binds `X`, the
+//!     `(X==k)==rhs` indicator, a comparison that must hold) decided at
+//!     compile time from which variables are bound at that point;
+//!   - heads and aggregate group keys become slot lists.
+//!
+//!   The compiled code of all rules lives in one arena per kind (labels,
+//!   expression nodes, argument actions, steps, outputs), so a plan build
+//!   costs a handful of allocations besides the relation names.
+//!
+//!   A compile step that meets an error (an unbound variable, a missing
+//!   parameter, an unsupported form) does not fail: it compiles to a node
+//!   that raises the same [`CologneError`] when the run reaches it, so
+//!   errors fire from the grounding call under exactly the inputs where an
+//!   interpreter evaluating the rule would meet them.
+//! * `GroundingRun` (private) — the **per-invocation** stage: executes the
+//!   compiled rules against the current engine state, allocates solver
+//!   variables and posts constraints, producing a [`GroundedCop`]. A rule's
+//!   bindings live in a flat arena of slot rows; predicates extend the
+//!   rows into a second arena, and filters keep or drop rows in place.
+//!   Engine relations are read at most once per run (in sorted order),
+//!   solver tables are read in place. Its model and symbol table are taken
+//!   from a [`GroundingScratch`], which recycles the solver arena (via
+//!   [`Model::reset`]) across invocations instead of reallocating it.
+//!
+//! ## Joins and the enumeration order
+//!
+//! A join scans its table once per binding and runs the predicate's
+//! argument actions on each tuple, so bindings are enumerated in frontier
+//! order, then table order. That order fixes the order in which variables,
+//! symbols and propagators are created, and with it the byte identity of
+//! the grounded COP.
+//!
+//! In constraint rules a clash on a symbolic value does not reject the
+//! tuple: it posts an equality (this is how `assign(X,Y,C) ->
+//! assign(Y,X,C)` enforces channel symmetry), even when a later position
+//! then rejects it. A join that skipped tuples by key (a hash index) would
+//! therefore have to stop its keys at the first position that could hold a
+//! [`Value::Sym`]. The paper's workloads join a few dozen (binding, tuple)
+//! pairs at most, so joins scan.
 //!
 //! The free function [`ground`] composes the stages for one-shot callers;
 //! [`crate::SolvePipeline`] holds plan + scratch for the repeated-invocation
@@ -57,10 +96,11 @@
 //!
 //! Solver invocations recur after every input delta, and most deltas touch a
 //! small slice of the database. The plan therefore records the **relevant
-//! relations** of the program — every engine relation the grounding reads:
-//! the `forall` relations of the `var` declarations, the non-solver-table
-//! body predicates of the solver derivation and constraint rules, and the
-//! goal relation when it is a regular table. Together with the engine's
+//! relations** of the program — every engine relation a compiled predicate
+//! reads: the `forall` relations of the `var` declarations, the body
+//! predicates of the solver derivation and constraint rules and the heads
+//! of the constraint rules that are not solver tables, and the goal
+//! relation when it is a regular table. Together with the engine's
 //! [`DeltaSummary`] (what changed since the previous grounding) this drives
 //! two reuse levels in [`GroundingPlan::ground`]:
 //!
@@ -88,18 +128,19 @@
 //! constants and rule layouts may shift (see
 //! [`crate::PipelineStats::full_rebuilds`]).
 
-use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::rc::Rc;
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use cologne_colog::{
     Analysis, Arg, BodyElem, CExpr, COp, GoalKind, Predicate, Program, ProgramParams, RuleClass,
-    RuleDecl, VarDomain,
+    RuleDecl, VarDecl, VarDomain,
 };
-use cologne_datalog::{AggFunc, Bindings, DeltaSummary, Engine, SymId, Tuple, Value};
+use cologne_datalog::{AggFunc, DeltaSummary, Engine, SymId, Tuple, Value};
 use cologne_solver::{LinExpr, Model, SearchConfig, SearchOutcome, SearchSpace, VarId};
 
 use crate::error::CologneError;
+use crate::translate::literal_to_value;
 
 /// The result of grounding one COP invocation.
 pub struct GroundedCop {
@@ -195,35 +236,218 @@ pub fn ground(
     params: &ProgramParams,
     engine: &Engine,
 ) -> Result<GroundedCop, CologneError> {
-    let plan = GroundingPlan::build(program, analysis, params);
-    plan.ground(
-        program,
-        analysis,
-        params,
-        engine,
-        &mut GroundingScratch::default(),
-    )
+    GroundingPlan::build(program, analysis, params).ground(engine, &mut GroundingScratch::default())
 }
 
 // ---------------------------------------------------------------------------
-// Per-program stage: the grounding plan
+// Per-program stage: the compiled grounding plan
 // ---------------------------------------------------------------------------
 
-/// Per-`var`-declaration layout cached by the plan.
+/// Where a predicate's tuples come from during a run.
+#[derive(Debug, Clone)]
+enum Source {
+    /// A regular engine relation: index into [`GroundingPlan::engine_relations`].
+    Engine(usize),
+    /// A solver table: index into [`GroundingPlan::solver_relations`]
+    /// (empty until a `var` declaration or derivation rule earlier in the
+    /// schedule produces it).
+    Solver(usize),
+}
+
+/// What one predicate argument does with the tuple value at its position.
+#[derive(Debug, Clone)]
+enum ArgOp {
+    /// First occurrence of an unbound variable: bind its slot.
+    Bind(usize),
+    /// A variable bound before the predicate: compare with its slot.
+    Check(usize),
+    /// A variable bound at an earlier position of this same predicate:
+    /// compare with the tuple value there.
+    Same(usize),
+    /// A constant (literal or named parameter, resolved at compile time).
+    Const(Value),
+    /// A constant whose parameter is missing, or an aggregate: matches
+    /// nothing.
+    Never,
+}
+
+/// A range of one of the [`Code`] arenas.
+#[derive(Debug, Clone, Copy, Default)]
+struct Span {
+    start: usize,
+    end: usize,
+}
+
+impl Span {
+    fn of<T>(self, arena: &[T]) -> &[T] {
+        &arena[self.start..self.end]
+    }
+}
+
+/// The compiled code of a whole plan, one arena per kind: rules, `var`
+/// declarations and predicates hold [`Span`]s and indices into it, so a
+/// plan build allocates a handful of vectors rather than several per rule.
+#[derive(Debug, Clone, Default)]
+struct Code {
+    /// Rule labels (the names their errors carry) and the names of unbound
+    /// variables, concatenated.
+    text: String,
+    nodes: Vec<Node>,
+    ops: Vec<ArgOp>,
+    steps: Vec<Step>,
+    outs: Vec<Out>,
+}
+
+impl Code {
+    fn text(&self, span: Span) -> &str {
+        &self.text[span.start..span.end]
+    }
+
+    fn label(&self, rule: &RulePlan) -> &str {
+        self.text(rule.label)
+    }
+
+    /// Append `s` to [`Code::text`].
+    fn push_text(&mut self, s: &str) -> Span {
+        let start = self.text.len();
+        self.text.push_str(s);
+        Span {
+            start,
+            end: self.text.len(),
+        }
+    }
+}
+
+/// A compiled body predicate.
+#[derive(Debug, Clone)]
+struct PredPlan {
+    source: Source,
+    /// One action per argument ([`Code::ops`]); a tuple of another arity
+    /// never matches.
+    ops: Span,
+}
+
+/// A compiled expression: an index into [`Code::nodes`].
+type Ex = usize;
+
+/// One node of a compiled expression over slots and resolved constants;
+/// operands are earlier nodes of the same arena.
+#[derive(Debug, Clone)]
+enum Node {
+    /// A bound variable.
+    Slot(usize),
+    /// A literal, or an unbound variable naming a program parameter.
+    Int(i64),
+    /// An unbound variable naming no parameter (its name in
+    /// [`Code::text`]): raised when evaluated.
+    Unbound(Span),
+    /// A literal naming a missing parameter: raised when evaluated (boxed:
+    /// nodes stay small, and failing ones are rare).
+    Fail(Box<CologneError>),
+    Neg(Ex),
+    Abs(Ex),
+    Bin(COp, Ex, Ex),
+}
+
+/// One orientation of the `(X==k)==rhs` indicator pattern.
+#[derive(Debug, Clone, Copy)]
+struct Indicator {
+    /// Slot of the unbound `X`, bound to the indicator variable.
+    slot: usize,
+    k: Ex,
+    rhs: Ex,
+}
+
+/// A compiled body expression (a condition of the rule).
+#[derive(Debug, Clone)]
+enum Cond {
+    /// `X == rhs` with `X` unbound: bind `X` to the value of `rhs`.
+    Bind { slot: usize, rhs: Ex },
+    /// The indicator pattern `lhs == rhs`: the first orientation whose `k`
+    /// is a known integer binds its `X`; if none is, the equality is
+    /// compared as written.
+    Indicator {
+        /// `(X==k)` on the left, then on the right, where it applies.
+        orientations: [Option<Indicator>; 2],
+        lhs: Ex,
+        rhs: Ex,
+    },
+    /// A comparison that must hold.
+    Compare { op: COp, lhs: Ex, rhs: Ex },
+    /// Any other expression: must evaluate to a known truth value.
+    Truth(Ex),
+}
+
+/// One compiled body element, executed over the whole frontier.
+#[derive(Debug, Clone)]
+enum Step {
+    Join(PredPlan),
+    Filter(Cond),
+    /// `X := expr`.
+    Assign(usize, Ex),
+}
+
+/// A value written into a produced row.
+#[derive(Debug, Clone)]
+enum Out {
+    Slot(usize),
+    Value(Value),
+    /// An aggregate column of a head: the function and its operand's slot.
+    Agg(AggFunc, usize),
+}
+
+/// How a derivation rule emits its head rows: one row per binding, or, with
+/// an aggregate column, one row per group of the other columns.
+#[derive(Debug, Clone)]
+struct HeadPlan {
+    /// The head's solver table.
+    table: usize,
+    /// Its columns ([`Code::outs`]).
+    outs: Span,
+    aggregate: bool,
+    /// Raised when the join produced a binding (an unbound head variable
+    /// or a missing parameter).
+    error: Option<CologneError>,
+}
+
+/// A compiled solver derivation or constraint rule.
+#[derive(Debug, Clone)]
+struct RulePlan {
+    /// The rule's label ([`Code::labels`]).
+    label: Span,
+    /// Number of slots (distinct variables) of the rule.
+    width: usize,
+    /// Constraint semantics: conditions are hard constraints and symbolic
+    /// join clashes become equalities.
+    force: bool,
+    /// The body elements ([`Code::steps`]).
+    steps: Span,
+    /// Derivation rules: how head rows are emitted.
+    head: Option<HeadPlan>,
+}
+
+/// Per-`var`-declaration layout and compiled `forall` join.
 #[derive(Debug, Clone)]
 pub(crate) struct VarPlan {
     /// Index into `program.vars`.
     decl: usize,
     /// Name of the declared solver table.
     pub(crate) table: String,
-    /// Name of the `forall` relation the declaration joins against (its
-    /// cleanliness decides whether the declaration can be replayed).
-    forall_relation: String,
+    /// Its index into [`GroundingPlan::solver_relations`].
+    table_id: usize,
     /// Domain of the declared solver variables (from [`ProgramParams`]).
     domain: VarDomain,
     /// For every argument position of the declared table: is it a solver
     /// attribute (true) or bound by the `forall` predicate (false)?
     pub(crate) is_solver_position: Vec<bool>,
+    /// The `forall` predicate over its own slot layout.
+    forall: PredPlan,
+    width: usize,
+    /// Non-solver table arguments, in table order ([`Code::outs`]).
+    outs: Span,
+    /// Raised on the first matching `forall` tuple (an aggregate or a
+    /// missing parameter among the table arguments).
+    error: Option<CologneError>,
 }
 
 /// Goal information cached by the plan.
@@ -231,87 +455,461 @@ pub(crate) struct VarPlan {
 struct GoalPlan {
     kind: GoalKind,
     relation: String,
+    source: Source,
     /// Argument position of the goal variable inside the goal relation
     /// (`None` for `satisfy` goals, which have no objective attribute).
     position: Option<usize>,
 }
 
-/// The per-program grounding stage: everything the per-invocation run needs that
-/// does not depend on the current table contents. Built once per compiled
-/// program and reused across `invokeSolver` executions.
+/// The per-program grounding stage: everything the per-invocation run needs
+/// that does not depend on the current table contents, compiled into slot
+/// layouts, join actions and expression trees (see the module docs). Built
+/// once per compiled program and reused across `invokeSolver` executions.
 #[derive(Debug, Clone)]
 pub struct GroundingPlan {
+    /// Layout and compiled `forall` join of each `var` declaration.
+    pub(crate) var_plans: Vec<VarPlan>,
     /// Solver derivation rules, topologically ordered by head/body relation
     /// dependencies (source order inside cycles).
-    deriv_order: Vec<usize>,
-    /// Solver constraint rules with their pre-assembled `head + body`
-    /// element list (built once instead of per invocation).
-    constraint_elems: Vec<(usize, Vec<BodyElem>)>,
-    /// Layout of each `var` declaration.
-    pub(crate) var_plans: Vec<VarPlan>,
+    derivations: Vec<RulePlan>,
+    /// Solver constraint rules, each compiled as the join of its head and
+    /// its body.
+    constraints: Vec<RulePlan>,
     /// Goal relation and objective position.
     goal: Option<GoalPlan>,
-    /// Every engine relation the grounding reads (the delta-awareness
-    /// contract — see the module docs): `forall` relations, non-solver-table
-    /// body predicates of solver rules, and the goal relation when regular.
-    relevant_relations: BTreeSet<String>,
+    /// The compiled rules' nodes, argument actions, steps and outputs.
+    code: Code,
+    /// Every engine relation the grounding reads, indexed by
+    /// [`Source::Engine`] — the delta-awareness contract (see the module
+    /// docs).
+    engine_relations: Vec<String>,
+    /// Solver tables read or produced by the plan, indexed by
+    /// [`Source::Solver`].
+    solver_relations: Vec<String>,
+}
+
+/// Decides, while the schedule is compiled in run order, whether a relation
+/// is read from the engine or from the solver tables: a solver table by the
+/// analysis, or one a `var` declaration or derivation rule earlier in the
+/// schedule has produced.
+struct Sources<'a> {
+    analysis: &'a Analysis,
+    engine: Vec<String>,
+    /// Solver tables with whether they have been produced yet.
+    solver: Vec<(String, bool)>,
+}
+
+impl Sources<'_> {
+    fn of(&mut self, relation: &str) -> Source {
+        let solver = self.solver.iter().position(|(r, _)| r == relation);
+        if let Some(id) = solver.filter(|&id| self.solver[id].1) {
+            return Source::Solver(id);
+        }
+        if self.analysis.solver_tables.is_solver_table(relation) {
+            return Source::Solver(solver.unwrap_or_else(|| self.solver_id(relation)));
+        }
+        match self.engine.iter().position(|r| r == relation) {
+            Some(id) => Source::Engine(id),
+            None => {
+                self.engine.push(relation.to_string());
+                Source::Engine(self.engine.len() - 1)
+            }
+        }
+    }
+
+    fn solver_id(&mut self, relation: &str) -> usize {
+        self.solver.push((relation.to_string(), false));
+        self.solver.len() - 1
+    }
+
+    /// Mark `relation` produced as a solver table from here on.
+    fn produce(&mut self, relation: &str) -> usize {
+        let id = match self.solver.iter().position(|(r, _)| r == relation) {
+            Some(id) => id,
+            None => self.solver_id(relation),
+        };
+        self.solver[id].1 = true;
+        id
+    }
+}
+
+/// Compiles one rule (or `forall` predicate) at a time onto a slot layout,
+/// tracking which variables are bound after each element, and appends its
+/// code to the plan's [`Code`]. One compiler serves a whole plan build.
+struct RuleCompiler<'a> {
+    label: &'a str,
+    params: &'a ProgramParams,
+    /// Slot → variable name, and whether it is bound at this point.
+    slots: Vec<(&'a str, bool)>,
+    code: Code,
+}
+
+impl<'a> RuleCompiler<'a> {
+    fn new(params: &'a ProgramParams) -> Self {
+        RuleCompiler {
+            label: "",
+            params,
+            slots: Vec::with_capacity(8),
+            code: Code::default(),
+        }
+    }
+
+    /// Start compiling the rule `label` (the name its errors carry).
+    fn start(&mut self, label: &'a str) {
+        self.label = label;
+        self.slots.clear();
+    }
+
+    fn slot(&mut self, name: &'a str) -> usize {
+        match self.slots.iter().position(|(n, _)| *n == name) {
+            Some(slot) => slot,
+            None => {
+                self.slots.push((name, false));
+                self.slots.len() - 1
+            }
+        }
+    }
+
+    fn bind(&mut self, slot: usize) {
+        self.slots[slot].1 = true;
+    }
+
+    fn bound_slot(&self, name: &str) -> Option<usize> {
+        self.slots.iter().position(|&(n, bound)| bound && n == name)
+    }
+
+    fn unbound(&self, name: &str) -> bool {
+        self.bound_slot(name).is_none() && self.params.constant(name).is_none()
+    }
+
+    fn pred(&mut self, pred: &'a Predicate, source: Source) -> PredPlan {
+        let start = self.code.ops.len();
+        for arg in &pred.args {
+            let op = match arg {
+                Arg::Const(lit) => match literal_to_value(lit, self.params) {
+                    Ok(value) => ArgOp::Const(value),
+                    Err(_) => ArgOp::Never,
+                },
+                Arg::Loc(v) | Arg::Var(v) => {
+                    let slot = self.slot(v);
+                    let first = self.code.ops[start..]
+                        .iter()
+                        .position(|op| matches!(op, ArgOp::Bind(s) if *s == slot));
+                    match first {
+                        _ if self.slots[slot].1 => ArgOp::Check(slot),
+                        Some(pos) => ArgOp::Same(pos),
+                        None => ArgOp::Bind(slot),
+                    }
+                }
+                Arg::Agg(_, _) => ArgOp::Never,
+            };
+            self.code.ops.push(op);
+        }
+        for i in start..self.code.ops.len() {
+            if let ArgOp::Bind(slot) = self.code.ops[i] {
+                self.bind(slot);
+            }
+        }
+        PredPlan {
+            source,
+            ops: Span {
+                start,
+                end: self.code.ops.len(),
+            },
+        }
+    }
+
+    fn expr(&mut self, expr: &CExpr) -> Ex {
+        let node = match expr {
+            CExpr::Var(v) => match self.bound_slot(v) {
+                Some(slot) => Node::Slot(slot),
+                None => match self.params.constant(v) {
+                    Some(c) => Node::Int(c),
+                    None => Node::Unbound(self.code.push_text(v)),
+                },
+            },
+            CExpr::Lit(lit) => match literal_to_value(lit, self.params) {
+                Ok(value) => Node::Int(concrete_int(&value)),
+                Err(e) => Node::Fail(Box::new(e)),
+            },
+            CExpr::Neg(inner) => Node::Neg(self.expr(inner)),
+            CExpr::Abs(inner) => Node::Abs(self.expr(inner)),
+            CExpr::Bin(op, a, b) => {
+                let a = self.expr(a);
+                Node::Bin(*op, a, self.expr(b))
+            }
+        };
+        self.code.nodes.push(node);
+        self.code.nodes.len() - 1
+    }
+
+    /// Compile a body expression, choosing its pattern from which
+    /// variables are bound here.
+    fn cond(&mut self, expr: &'a CExpr) -> Cond {
+        if let CExpr::Bin(COp::Eq, lhs, rhs) = expr {
+            // `X == rhs` with X unbound binds X.
+            for (var_side, other) in [(lhs, rhs), (rhs, lhs)] {
+                if let CExpr::Var(x) = var_side.as_ref() {
+                    if self.unbound(x) {
+                        let rhs = self.expr(other);
+                        let slot = self.slot(x);
+                        self.bind(slot);
+                        return Cond::Bind { slot, rhs };
+                    }
+                }
+            }
+            // `(X == k) == rhs` with X unbound: the indicator pattern. Both
+            // sides are compiled with every X unbound; an orientation's `k`
+            // and `rhs` are their subexpressions.
+            let (l, r) = (self.expr(lhs), self.expr(rhs));
+            let mut orientations = [None, None];
+            for (side, (ind_side, ind, other)) in [(lhs, l, r), (rhs, r, l)].into_iter().enumerate()
+            {
+                if let CExpr::Bin(COp::Eq, a, b) = ind_side.as_ref() {
+                    let Node::Bin(_, na, nb) = self.code.nodes[ind] else {
+                        unreachable!("an equality compiles to a binary node")
+                    };
+                    let (x, k) = match (a.as_ref(), b.as_ref()) {
+                        (CExpr::Var(x), _) => (x, nb),
+                        (_, CExpr::Var(x)) => (x, na),
+                        _ => continue,
+                    };
+                    if self.unbound(x) {
+                        let slot = self.slot(x);
+                        orientations[side] = Some(Indicator {
+                            slot,
+                            k,
+                            rhs: other,
+                        });
+                    }
+                }
+            }
+            return match orientations.iter().flatten().next() {
+                Some(first) => {
+                    // Only the first orientation can succeed: every later
+                    // one evaluates the first one's side, whose X is unbound.
+                    self.bind(first.slot);
+                    Cond::Indicator {
+                        orientations,
+                        lhs: l,
+                        rhs: r,
+                    }
+                }
+                None => Cond::Compare {
+                    op: COp::Eq,
+                    lhs: l,
+                    rhs: r,
+                },
+            };
+        }
+        self.comparison(expr)
+    }
+
+    fn comparison(&mut self, expr: &CExpr) -> Cond {
+        match expr {
+            CExpr::Bin(op, a, b) if op.is_comparison() => {
+                let lhs = self.expr(a);
+                Cond::Compare {
+                    op: *op,
+                    lhs,
+                    rhs: self.expr(b),
+                }
+            }
+            other => Cond::Truth(self.expr(other)),
+        }
+    }
+
+    /// The outputs of a head, or the first error (in argument order)
+    /// instantiating it would raise (and no outputs).
+    fn head(&mut self, head: &Predicate) -> Result<Span, CologneError> {
+        let aggregate = head.has_aggregate();
+        let unbound = |v: &str| CologneError::UnboundVariable {
+            rule: self.label.to_string(),
+            variable: if aggregate { "<head>" } else { v }.to_string(),
+        };
+        let start = self.code.outs.len();
+        for arg in &head.args {
+            let out = match arg {
+                Arg::Loc(v) | Arg::Var(v) => {
+                    self.bound_slot(v).map(Out::Slot).ok_or_else(|| unbound(v))
+                }
+                Arg::Const(lit) => literal_to_value(lit, self.params).map(Out::Value),
+                Arg::Agg(func, v) => self
+                    .bound_slot(v)
+                    .map(|slot| Out::Agg(*func, slot))
+                    .ok_or_else(|| unbound(v)),
+            };
+            match out {
+                Ok(out) => self.code.outs.push(out),
+                Err(e) => {
+                    self.code.outs.truncate(start);
+                    return Err(e);
+                }
+            }
+        }
+        Ok(Span {
+            start,
+            end: self.code.outs.len(),
+        })
+    }
+}
+
+impl RulePlan {
+    /// Compile a derivation rule (`force == false`, with its head) or a
+    /// constraint rule (`force == true`: the head joins first, then the
+    /// body).
+    fn compile<'a>(
+        rule: &'a RuleDecl,
+        force: bool,
+        c: &mut RuleCompiler<'a>,
+        sources: &mut Sources<'_>,
+    ) -> RulePlan {
+        c.start(&rule.label);
+        let label = c.code.push_text(&rule.label);
+        // Compiling an element appends argument actions and nodes, never
+        // steps, so the rule's steps stay contiguous.
+        let start = c.code.steps.len();
+        if force {
+            let join = Step::Join(c.pred(&rule.head, sources.of(&rule.head.name)));
+            c.code.steps.push(join);
+        }
+        for elem in &rule.body {
+            let step = match elem {
+                BodyElem::Pred(pred) => Step::Join(c.pred(pred, sources.of(&pred.name))),
+                BodyElem::Expr(expr) => Step::Filter(c.cond(expr)),
+                BodyElem::Assign(var, expr) => {
+                    let value = c.expr(expr);
+                    let slot = c.slot(var);
+                    c.bind(slot);
+                    Step::Assign(slot, value)
+                }
+            };
+            c.code.steps.push(step);
+        }
+        let steps = Span {
+            start,
+            end: c.code.steps.len(),
+        };
+        let head = (!force).then(|| {
+            let (outs, error) = match c.head(&rule.head) {
+                Ok(outs) => (outs, None),
+                Err(e) => (Span::default(), Some(e)),
+            };
+            HeadPlan {
+                table: sources.produce(&rule.head.name),
+                outs,
+                aggregate: rule.head.has_aggregate(),
+                error,
+            }
+        });
+        RulePlan {
+            label,
+            width: c.slots.len(),
+            force,
+            steps,
+            head,
+        }
+    }
+}
+
+impl VarPlan {
+    fn compile<'a>(
+        decl: usize,
+        vd: &'a VarDecl,
+        c: &mut RuleCompiler<'a>,
+        sources: &mut Sources<'_>,
+    ) -> VarPlan {
+        // The forall predicate raises no errors; the table's are labelled
+        // here.
+        c.start("");
+        let label = || format!("var {}", vd.table.name);
+        let forall = c.pred(&vd.forall, sources.of(&vd.forall.name));
+        // A solver attribute is a table variable the forall does not bind
+        // (`VarDecl::solver_positions`).
+        let in_forall = |v: &str| vd.forall.args.iter().any(|a| a.var_name() == Some(v));
+        let is_solver_position: Vec<bool> = vd
+            .table
+            .args
+            .iter()
+            .map(|a| a.var_name().is_some_and(|v| !in_forall(v)))
+            .collect();
+        let start = c.code.outs.len();
+        let mut error = None;
+        for (arg, &solver) in vd.table.args.iter().zip(&is_solver_position) {
+            if solver {
+                continue;
+            }
+            let out = match arg {
+                Arg::Loc(v) | Arg::Var(v) => match c.bound_slot(v) {
+                    Some(slot) => Ok(Out::Slot(slot)),
+                    None => Err(CologneError::UnboundVariable {
+                        rule: label(),
+                        variable: v.clone(),
+                    }),
+                },
+                Arg::Const(lit) => literal_to_value(lit, c.params).map(Out::Value),
+                Arg::Agg(_, _) => Err(CologneError::UnsupportedExpression {
+                    rule: label(),
+                    detail: "aggregate in var declaration".into(),
+                }),
+            };
+            match out {
+                Ok(out) => c.code.outs.push(out),
+                Err(e) => {
+                    error = Some(e);
+                    break;
+                }
+            }
+        }
+        VarPlan {
+            decl,
+            table: vd.table.name.clone(),
+            table_id: sources.produce(&vd.table.name),
+            domain: c.params.var_domain(&vd.table.name),
+            is_solver_position,
+            width: c.slots.len(),
+            forall,
+            outs: Span {
+                start,
+                end: c.code.outs.len(),
+            },
+            error,
+        }
+    }
 }
 
 impl GroundingPlan {
-    /// Build the plan for a program from its static analysis.
+    /// Compile the plan for a program from its static analysis. Never
+    /// fails: an error in a rule is deferred to the grounding that reaches
+    /// it (see the module docs).
     pub fn build(program: &Program, analysis: &Analysis, params: &ProgramParams) -> Self {
+        // Compile in run order: var declarations, derivation rules,
+        // constraint rules, goal — so each predicate knows whether an
+        // earlier step has produced its relation as a solver table.
+        let mut sources = Sources {
+            analysis,
+            engine: Vec::with_capacity(8),
+            solver: Vec::with_capacity(8),
+        };
+        let mut c = RuleCompiler::new(params);
         let var_plans = program
             .vars
             .iter()
             .enumerate()
-            .map(|(decl, vd)| {
-                let solver_positions = vd.solver_positions();
-                VarPlan {
-                    decl,
-                    table: vd.table.name.clone(),
-                    forall_relation: vd.forall.name.clone(),
-                    domain: params.var_domain(&vd.table.name),
-                    is_solver_position: (0..vd.table.args.len())
-                        .map(|i| solver_positions.contains(&i))
-                        .collect(),
-                }
-            })
+            .map(|(decl, vd)| VarPlan::compile(decl, vd, &mut c, &mut sources))
             .collect();
-        let mut relevant_relations: BTreeSet<String> = program
-            .vars
-            .iter()
-            .map(|vd| vd.forall.name.clone())
+        let derivations = derivation_rule_order(program, analysis)
+            .into_iter()
+            .map(|idx| RulePlan::compile(&program.rules[idx], false, &mut c, &mut sources))
             .collect();
-        for idx in analysis
-            .rules_in_class(RuleClass::SolverDerivation)
-            .chain(analysis.rules_in_class(RuleClass::SolverConstraint))
-        {
-            for name in program.rules[idx].body_relations() {
-                if !analysis.solver_tables.is_solver_table(name) {
-                    relevant_relations.insert(name.to_string());
-                }
-            }
-        }
-        if let Some(goal) = &program.goal {
-            if !analysis.solver_tables.is_solver_table(&goal.relation.name) {
-                relevant_relations.insert(goal.relation.name.clone());
-            }
-        }
-        let constraint_elems = analysis
+        let constraints = analysis
             .rules_in_class(RuleClass::SolverConstraint)
-            .map(|idx| {
-                let rule = &program.rules[idx];
-                // head -> body : for every grounding of the head joined with
-                // the body predicates, the body expressions must hold.
-                let mut elems: Vec<BodyElem> = Vec::with_capacity(rule.body.len() + 1);
-                elems.push(BodyElem::Pred(rule.head.clone()));
-                elems.extend(rule.body.iter().cloned());
-                (idx, elems)
-            })
+            .map(|idx| RulePlan::compile(&program.rules[idx], true, &mut c, &mut sources))
             .collect();
         let goal = program.goal.as_ref().map(|goal| GoalPlan {
             kind: goal.kind,
             relation: goal.relation.name.clone(),
+            source: sources.of(&goal.relation.name),
             position: (goal.kind != GoalKind::Satisfy).then(|| {
                 goal.relation
                     .args
@@ -321,11 +919,21 @@ impl GroundingPlan {
             }),
         });
         GroundingPlan {
-            deriv_order: derivation_rule_order(program, analysis),
-            constraint_elems,
             var_plans,
+            derivations,
+            constraints,
             goal,
-            relevant_relations,
+            code: c.code,
+            engine_relations: sources.engine,
+            solver_relations: sources.solver.into_iter().map(|(r, _)| r).collect(),
+        }
+    }
+
+    /// The relation a predicate reads.
+    fn relation_name(&self, source: &Source) -> &str {
+        match source {
+            Source::Engine(id) => &self.engine_relations[*id],
+            Source::Solver(id) => &self.solver_relations[*id],
         }
     }
 
@@ -333,7 +941,7 @@ impl GroundingPlan {
     /// summary touching none of them means a re-grounding would reproduce
     /// the previous [`GroundedCop`] byte for byte.
     pub fn relevant_relations(&self) -> impl Iterator<Item = &str> {
-        self.relevant_relations.iter().map(String::as_str)
+        self.engine_relations.iter().map(String::as_str)
     }
 
     /// True when any relation the grounding reads is dirty in `delta` — a
@@ -342,29 +950,21 @@ impl GroundingPlan {
     pub fn is_affected_by(&self, delta: &DeltaSummary) -> bool {
         delta
             .dirty_relations()
-            .any(|rel| self.relevant_relations.contains(rel))
+            .any(|rel| self.engine_relations.iter().any(|r| r == rel))
     }
 
     /// Run the per-invocation stage against the current engine state,
-    /// drawing the model and symbol table from `scratch`.
-    ///
-    /// `program`, `analysis` and `params` must be the exact values this plan
-    /// was [`GroundingPlan::build`]t from: the plan caches rule indices,
-    /// var-decl layouts and parameter-derived domains, so passing a
-    /// different program panics (index out of bounds) or grounds stale
-    /// cached layouts. [`crate::SolvePipeline`] maintains this invariant
-    /// automatically — prefer it over calling this directly.
+    /// drawing the model and symbol table from `scratch`. The plan carries
+    /// everything it needs from the program and parameters it was built
+    /// from.
     pub fn ground(
         &self,
-        program: &Program,
-        analysis: &Analysis,
-        params: &ProgramParams,
         engine: &Engine,
         scratch: &mut GroundingScratch,
     ) -> Result<GroundedCop, CologneError> {
         // One-shot callers never replay, so capturing replay caches would
         // be pure overhead: skip it.
-        self.ground_inner(program, analysis, params, engine, scratch, None, false)
+        self.ground_inner(engine, scratch, None, false)
     }
 
     /// [`GroundingPlan::ground`] with a delta summary covering everything
@@ -373,65 +973,63 @@ impl GroundingPlan {
     /// replayed from the scratch's caches instead of re-joined (see the
     /// module docs), and the caches are refreshed for the next run. Passing
     /// `None` (or a scratch without caches) grounds everything live; the
-    /// output is identical either way.
+    /// output is identical either way. The caches are laid out by this
+    /// plan: a scratch serves one plan (clear it when the plan is rebuilt).
     pub fn ground_delta(
         &self,
-        program: &Program,
-        analysis: &Analysis,
-        params: &ProgramParams,
         engine: &Engine,
         scratch: &mut GroundingScratch,
         delta: Option<&DeltaSummary>,
     ) -> Result<GroundedCop, CologneError> {
-        self.ground_inner(program, analysis, params, engine, scratch, delta, true)
+        self.ground_inner(engine, scratch, delta, true)
     }
 
     /// Shared body of [`GroundingPlan::ground`] / [`GroundingPlan::ground_delta`]:
     /// `capture` controls whether `var`-declaration replay caches are
     /// maintained in `scratch` (only delta-aware callers ever read them).
-    #[allow(clippy::too_many_arguments)]
     fn ground_inner(
         &self,
-        program: &Program,
-        analysis: &Analysis,
-        params: &ProgramParams,
         engine: &Engine,
         scratch: &mut GroundingScratch,
         delta: Option<&DeltaSummary>,
         capture: bool,
     ) -> Result<GroundedCop, CologneError> {
-        debug_assert!(
-            self.var_plans.len() == program.vars.len()
-                && self
-                    .deriv_order
-                    .iter()
-                    .chain(self.constraint_elems.iter().map(|(i, _)| i))
-                    .all(|&i| i < program.rules.len()),
-            "GroundingPlan used with a program it was not built from"
-        );
-        scratch.var_caches.resize_with(program.vars.len(), || None);
+        scratch
+            .var_caches
+            .resize_with(self.var_plans.len(), || None);
         let mut run = GroundingRun {
             plan: self,
-            program,
-            analysis,
-            params,
             engine,
             delta,
             capture,
             var_caches: &mut scratch.var_caches,
-            model: std::mem::take(&mut scratch.model),
-            syms: std::mem::take(&mut scratch.syms),
-            solver_tables: BTreeMap::new(),
-            table_cache: RefCell::new(HashMap::new()),
+            cop: CopBuilder {
+                model: std::mem::take(&mut scratch.model),
+                syms: std::mem::take(&mut scratch.syms),
+            },
+            engine_rows: vec![None; self.engine_relations.len()],
+            solver_rows: vec![None; self.solver_relations.len()],
+            frontier: std::mem::take(&mut scratch.frontiers[0]),
+            next: std::mem::take(&mut scratch.frontiers[1]),
         };
         run.ground_var_decls()?;
-        run.ground_derivation_rules()?;
-        run.ground_constraint_rules()?;
+        for rule in &self.derivations {
+            run.ground_rule(rule)?;
+        }
+        for rule in &self.constraints {
+            run.ground_rule(rule)?;
+        }
         let (objective, goal_relation) = run.build_objective()?;
+        scratch.frontiers = [run.frontier, run.next];
         Ok(GroundedCop {
-            model: run.model,
-            syms: run.syms,
-            solver_tables: run.solver_tables,
+            model: run.cop.model,
+            syms: run.cop.syms,
+            solver_tables: self
+                .solver_relations
+                .iter()
+                .zip(run.solver_rows)
+                .filter_map(|(name, rows)| Some((name.clone(), rows?)))
+                .collect(),
             objective,
             goal_relation,
         })
@@ -473,17 +1071,19 @@ fn derivation_rule_order(program: &Program, analysis: &Analysis) -> Vec<usize> {
 }
 
 /// Reusable per-invocation allocations: the solver model arena, the
-/// symbolic-attribute table, and the [`SearchSpace`] (trail-backed domain
-/// store + propagation queue + decision stack) the COP is searched in.
-/// The grounding run takes the model and symbol table at the start of an
-/// invocation; [`GroundingScratch::recycle`] reclaims them (resetting the
-/// model in place) once the caller is done with the [`GroundedCop`]. The
-/// search space is lent out per solve by [`crate::SolvePipeline::solve`] and
-/// keeps its trail, store and queue allocations across invocations.
+/// symbolic-attribute table, the two binding arenas of the rule joins, and
+/// the [`SearchSpace`] (trail-backed domain store + propagation queue +
+/// decision stack) the COP is searched in. The grounding run takes the
+/// model and symbol table at the start of an invocation;
+/// [`GroundingScratch::recycle`] reclaims them (resetting the model in
+/// place) once the caller is done with the [`GroundedCop`]. The search
+/// space is lent out per solve by [`crate::SolvePipeline::solve`] and keeps
+/// its trail, store and queue allocations across invocations.
 #[derive(Default)]
 pub struct GroundingScratch {
     model: Model,
     syms: Vec<LinExpr>,
+    frontiers: [Frontier; 2],
     pub(crate) space: SearchSpace,
     /// Per-`var`-declaration replay caches (see [`VarDeclCache`]), refreshed
     /// on every grounding. Cleared whenever the parameters change — a cache
@@ -532,6 +1132,69 @@ pub(crate) struct VarDeclCache {
     rows: Vec<Tuple>,
 }
 
+// ---------------------------------------------------------------------------
+// Per-invocation stage: executing the plan
+// ---------------------------------------------------------------------------
+
+/// The bindings of one rule during a run: `len` rows of `width` slot
+/// values, stored flat. A slot not yet bound holds a placeholder the
+/// compiled rule never reads.
+#[derive(Default)]
+struct Frontier {
+    width: usize,
+    len: usize,
+    values: Vec<Value>,
+}
+
+impl Frontier {
+    fn clear(&mut self, width: usize) {
+        self.width = width;
+        self.len = 0;
+        self.values.clear();
+    }
+
+    /// The single empty binding a rule starts from.
+    fn start(&mut self, width: usize) {
+        self.clear(width);
+        self.values.resize(width, Value::Int(0));
+        self.len = 1;
+    }
+
+    fn row(&self, r: usize) -> &[Value] {
+        &self.values[r * self.width..(r + 1) * self.width]
+    }
+
+    fn row_mut(&mut self, r: usize) -> &mut [Value] {
+        &mut self.values[r * self.width..(r + 1) * self.width]
+    }
+
+    /// Move row `from` down to position `to` (`to <= from`).
+    fn move_row(&mut self, from: usize, to: usize) {
+        if from != to {
+            for i in 0..self.width {
+                self.values.swap(to * self.width + i, from * self.width + i);
+            }
+        }
+    }
+
+    fn truncate(&mut self, len: usize) {
+        self.len = len;
+        self.values.truncate(len * self.width);
+    }
+
+    /// Append `row` extended by the `Bind` positions of `ops` from `tuple`.
+    fn push_extended(&mut self, row: &[Value], ops: &[ArgOp], tuple: &[Value]) {
+        let base = self.values.len();
+        self.values.extend_from_slice(row);
+        for (op, value) in ops.iter().zip(tuple) {
+            if let ArgOp::Bind(slot) = op {
+                self.values[base + slot] = value.clone();
+            }
+        }
+        self.len += 1;
+    }
+}
+
 /// Objective of a grounded COP (`None` when there is nothing to optimize)
 /// plus the goal relation name for materialization.
 type ObjectiveSpec = (Option<(GoalKind, VarId)>, Option<String>);
@@ -550,14 +1213,18 @@ enum SymVal {
     Bool(VarId),
 }
 
-/// The per-invocation grounding stage: evaluates the plan's rule schedule
+/// The model under construction and its symbol table: everything a rule
+/// step writes besides the rows themselves.
+struct CopBuilder {
+    model: Model,
+    syms: Vec<LinExpr>,
+}
+
+/// The per-invocation grounding stage: executes the plan's compiled rules
 /// against the current engine state, producing model variables, constraints
 /// and solver tables. Short-lived — one value per `invokeSolver` execution.
 struct GroundingRun<'a> {
     plan: &'a GroundingPlan,
-    program: &'a Program,
-    analysis: &'a Analysis,
-    params: &'a ProgramParams,
     engine: &'a Engine,
     /// What changed since the previous grounding (`None` = assume everything
     /// did). Only consulted for `var`-declaration replay.
@@ -567,18 +1234,390 @@ struct GroundingRun<'a> {
     capture: bool,
     /// Replay caches, one slot per `var` declaration (refreshed as we go).
     var_caches: &'a mut Vec<Option<VarDeclCache>>,
-    model: Model,
-    syms: Vec<LinExpr>,
-    solver_tables: BTreeMap<String, Vec<Tuple>>,
-    /// Per-run memo of engine tables: the engine is immutable for the
-    /// duration of a grounding, and the same relation is read once per rule
-    /// that mentions it, so sorting and cloning it each time is pure waste
-    /// on large groundings. Solver tables are never cached here — they grow
-    /// while the run progresses.
-    table_cache: RefCell<HashMap<String, Rc<Vec<Tuple>>>>,
+    cop: CopBuilder,
+    /// Rows of each engine relation of the plan, read (sorted) on first
+    /// use: the engine is immutable for the duration of a grounding.
+    engine_rows: Vec<Option<Vec<Tuple>>>,
+    /// Rows of each solver table of the plan; `None` until produced (only
+    /// produced tables appear in [`GroundedCop::solver_tables`]).
+    solver_rows: Vec<Option<Vec<Tuple>>>,
+    /// The current rule's bindings, and the arena a join extends them into.
+    frontier: Frontier,
+    next: Frontier,
 }
 
-impl<'a> GroundingRun<'a> {
+/// The rows of `source`, reading an engine relation on first use.
+fn source_rows<'t>(
+    source: &Source,
+    plan: &GroundingPlan,
+    engine: &Engine,
+    engine_rows: &'t mut [Option<Vec<Tuple>>],
+    solver_rows: &'t [Option<Vec<Tuple>>],
+) -> &'t [Tuple] {
+    match source {
+        Source::Engine(id) => engine_rows[*id]
+            .get_or_insert_with(|| engine.tuples(&plan.engine_relations[*id]))
+            .as_slice(),
+        Source::Solver(id) => solver_rows[*id].as_deref().unwrap_or(&[]),
+    }
+}
+
+impl GroundingRun<'_> {
+    // ----- var declarations -------------------------------------------------
+
+    fn ground_var_decls(&mut self) -> Result<(), CologneError> {
+        let plan = self.plan;
+        for vp in &plan.var_plans {
+            // A declaration whose forall relation saw no visible change since
+            // the previous grounding reproduces last run's output exactly:
+            // replay it from the cache instead of re-joining.
+            let forall_relation = plan.relation_name(&vp.forall.source);
+            let clean = self.delta.is_some_and(|d| d.is_clean(forall_relation));
+            if clean && self.var_caches[vp.decl].is_some() {
+                self.replay_var_decl(vp);
+                continue;
+            }
+            let domain = vp.domain;
+            let sym_start = self.cop.syms.len();
+            let row_start = self.solver_rows[vp.table_id].as_ref().map_or(0, Vec::len);
+            let forall_rows = source_rows(
+                &vp.forall.source,
+                plan,
+                self.engine,
+                &mut self.engine_rows,
+                &self.solver_rows,
+            );
+            let mut slots = vec![Value::Int(0); vp.width];
+            let mut rows = Vec::new();
+            let mut name = String::new();
+            for tuple in forall_rows {
+                if !match_forall(vp.forall.ops.of(&plan.code.ops), tuple, &mut slots) {
+                    continue;
+                }
+                if let Some(e) = &vp.error {
+                    return Err(e.clone());
+                }
+                name.clear();
+                name.push_str(&vp.table);
+                name.push('[');
+                for (i, v) in tuple.iter().enumerate() {
+                    if i > 0 {
+                        name.push(',');
+                    }
+                    write!(name, "{v}").expect("writing to a String");
+                }
+                name.push(']');
+                let mut outs = vp.outs.of(&plan.code.outs).iter();
+                let mut row = Vec::with_capacity(vp.is_solver_position.len());
+                for &solver in &vp.is_solver_position {
+                    if solver {
+                        let var =
+                            self.cop
+                                .model
+                                .new_named_var(domain.lo, domain.hi, Some(name.clone()));
+                        // `var`-declared solver attributes are the COP's
+                        // decision variables; the LNS mode builds its
+                        // neighborhoods from them (auxiliary variables made
+                        // by aggregates/expressions stay unmarked — they are
+                        // functionally determined by these).
+                        self.cop.model.mark_decision(var);
+                        row.push(self.cop.new_sym(LinExpr::var(var)));
+                    } else {
+                        let out = outs.next().expect("one output per non-solver argument");
+                        row.push(out_value(out, &slots));
+                    }
+                }
+                rows.push(row);
+            }
+            // The table exists even if the forall relation is empty.
+            self.solver_rows[vp.table_id]
+                .get_or_insert_with(Vec::new)
+                .extend(rows);
+            if self.capture {
+                self.capture_var_decl(vp, sym_start, row_start);
+            }
+        }
+        Ok(())
+    }
+
+    /// Refresh the replay cache of a declaration that was just grounded
+    /// live: its rows sit at the tail of its solver table (from `row_start`)
+    /// and its variables occupy the contiguous symbol block starting at
+    /// `sym_start`.
+    fn capture_var_decl(&mut self, vp: &VarPlan, sym_start: usize, row_start: usize) {
+        let names: Vec<String> = self.cop.syms[sym_start..]
+            .iter()
+            .map(|expr| {
+                let var = expr.as_var().expect("var-declared symbols are variables");
+                self.cop
+                    .model
+                    .var_name(var)
+                    .expect("var-declared solver variables are named")
+                    .to_string()
+            })
+            .collect();
+        let rows = self.solver_rows[vp.table_id]
+            .as_ref()
+            .map(|rows| rows[row_start..].to_vec())
+            .unwrap_or_default();
+        self.var_caches[vp.decl] = Some(VarDeclCache {
+            sym_start,
+            names,
+            rows,
+        });
+    }
+
+    /// Replay a clean declaration from its cache: allocate the cached
+    /// variables in order (identical names, domain and decision marking to a
+    /// live grounding) and re-emit the cached rows with their symbolic
+    /// attributes shifted onto the freshly allocated symbol block.
+    fn replay_var_decl(&mut self, vp: &VarPlan) {
+        let cache = self.var_caches[vp.decl]
+            .take()
+            .expect("replay requires a cache");
+        let new_start = self.cop.syms.len();
+        let domain = vp.domain;
+        for name in &cache.names {
+            let var = self
+                .cop
+                .model
+                .new_named_var(domain.lo, domain.hi, Some(name.clone()));
+            self.cop.model.mark_decision(var);
+            self.cop.syms.push(LinExpr::var(var));
+        }
+        let shift = |v: &Value| match v {
+            Value::Sym(s) => {
+                let local = s.0 as usize - cache.sym_start;
+                Value::Sym(SymId((new_start + local) as u32))
+            }
+            other => other.clone(),
+        };
+        let rows: Vec<Tuple> = cache
+            .rows
+            .iter()
+            .map(|row| row.iter().map(shift).collect())
+            .collect();
+        self.solver_rows[vp.table_id]
+            .get_or_insert_with(Vec::new)
+            .extend(rows.iter().cloned());
+        self.var_caches[vp.decl] = Some(VarDeclCache {
+            sym_start: new_start,
+            names: cache.names,
+            rows,
+        });
+    }
+
+    // ----- solver rules --------------------------------------------------------
+
+    /// Join a rule's body element by element over the whole frontier, then
+    /// emit a derivation rule's head rows. In a constraint rule the
+    /// conditions are posted as hard constraints during the join and the
+    /// surviving bindings are not needed.
+    fn ground_rule(&mut self, rule: &RulePlan) -> Result<(), CologneError> {
+        let code = &self.plan.code;
+        self.frontier.start(rule.width);
+        for step in rule.steps.of(&code.steps) {
+            if self.frontier.len == 0 {
+                break;
+            }
+            match step {
+                Step::Join(pred) => self.join(pred, rule.force),
+                Step::Filter(cond) => {
+                    let mut kept = 0;
+                    for r in 0..self.frontier.len {
+                        let row = self.frontier.row_mut(r);
+                        if self.cop.apply(code, rule, cond, row)? {
+                            self.frontier.move_row(r, kept);
+                            kept += 1;
+                        }
+                    }
+                    self.frontier.truncate(kept);
+                }
+                Step::Assign(slot, expr) => {
+                    for r in 0..self.frontier.len {
+                        let row = self.frontier.row_mut(r);
+                        let value = self.cop.eval(code, rule, *expr, row)?;
+                        row[*slot] = self.cop.symval_to_value(value);
+                    }
+                }
+            }
+        }
+        let Some(head) = &rule.head else {
+            return Ok(());
+        };
+        if let Some(e) = &head.error {
+            if self.frontier.len > 0 {
+                return Err(e.clone());
+            }
+        }
+        let outs = head.outs.of(&code.outs);
+        let rows = if head.aggregate {
+            self.aggregate_rows(outs)?
+        } else {
+            (0..self.frontier.len)
+                .map(|r| {
+                    let row = self.frontier.row(r);
+                    outs.iter().map(|out| out_value(out, row)).collect()
+                })
+                .collect()
+        };
+        self.solver_rows[head.table]
+            .get_or_insert_with(Vec::new)
+            .extend(rows);
+        Ok(())
+    }
+
+    /// Extend every binding of the frontier by the matching tuples of
+    /// `pred`, in frontier order then table order.
+    fn join(&mut self, pred: &PredPlan, force: bool) {
+        let rows = source_rows(
+            &pred.source,
+            self.plan,
+            self.engine,
+            &mut self.engine_rows,
+            &self.solver_rows,
+        );
+        let ops = pred.ops.of(&self.plan.code.ops);
+        let (frontier, next, cop) = (&self.frontier, &mut self.next, &mut self.cop);
+        next.clear(frontier.width);
+        for r in 0..frontier.len {
+            let row = frontier.row(r);
+            for tuple in rows {
+                cop.extend(ops, tuple, row, force, next);
+            }
+        }
+        std::mem::swap(&mut self.frontier, &mut self.next);
+    }
+
+    /// The rows of an aggregate head: one per distinct group key (the
+    /// non-aggregate columns), in key order, aggregating each group's
+    /// operands in frontier order.
+    fn aggregate_rows(&mut self, outs: &[Out]) -> Result<Vec<Tuple>, CologneError> {
+        let frontier = &self.frontier;
+        let key_of = |r: usize| {
+            outs.iter().filter_map(move |out| match out {
+                Out::Slot(slot) => Some(&frontier.row(r)[*slot]),
+                // Constants are the same in every key.
+                Out::Value(_) | Out::Agg(..) => None,
+            })
+        };
+        let mut order: Vec<usize> = (0..frontier.len).collect();
+        // Stable: a group's bindings keep their frontier order.
+        order.sort_by(|&a, &b| key_of(a).cmp(key_of(b)));
+        let mut rows = Vec::new();
+        let mut operands = Vec::new();
+        let mut start = 0;
+        while start < order.len() {
+            let first = order[start];
+            let end = start
+                + order[start..]
+                    .iter()
+                    .take_while(|&&r| key_of(r).cmp(key_of(first)) == Ordering::Equal)
+                    .count();
+            let mut row = Vec::with_capacity(outs.len());
+            for out in outs {
+                row.push(match out {
+                    Out::Agg(func, slot) => {
+                        operands.clear();
+                        operands.extend(
+                            order[start..end]
+                                .iter()
+                                .map(|&r| self.frontier.row(r)[*slot].clone()),
+                        );
+                        self.cop.compute_aggregate(*func, &operands)?
+                    }
+                    key => out_value(key, self.frontier.row(first)),
+                });
+            }
+            rows.push(row);
+            start = end;
+        }
+        Ok(rows)
+    }
+
+    // ----- goal -----------------------------------------------------------------
+
+    fn build_objective(&mut self) -> Result<ObjectiveSpec, CologneError> {
+        let Some(goal) = &self.plan.goal else {
+            return Ok((None, None));
+        };
+        if goal.kind == GoalKind::Satisfy {
+            return Ok((None, Some(goal.relation.clone())));
+        }
+        let position = goal.position.expect("non-satisfy goals have a position");
+        let rows = source_rows(
+            &goal.source,
+            self.plan,
+            self.engine,
+            &mut self.engine_rows,
+            &self.solver_rows,
+        );
+        if rows.is_empty() {
+            // Nothing to optimize: leave the objective out; the caller treats
+            // the COP as trivially solved.
+            return Ok((None, Some(goal.relation.clone())));
+        }
+        let mut objective = LinExpr::zero();
+        for t in rows {
+            match t.get(position) {
+                Some(Value::Sym(s)) => objective.add_expr(self.cop.sym_expr(*s)),
+                Some(other) => objective.add_constant(concrete_int(other)),
+                None => {}
+            }
+        }
+        // The goal attribute is materialized: the search bounds a variable.
+        let objective = objective.normalized();
+        let var = match objective.as_var() {
+            Some(var) => var,
+            None => self
+                .cop
+                .model
+                .linear_var(&objective.terms, objective.constant),
+        };
+        Ok((Some((goal.kind, var)), Some(goal.relation.clone())))
+    }
+}
+
+/// The value of a row-producing output under a binding.
+fn out_value(out: &Out, row: &[Value]) -> Value {
+    match out {
+        Out::Slot(slot) => row[*slot].clone(),
+        Out::Value(value) => value.clone(),
+        Out::Agg(..) => unreachable!("aggregates are computed per group"),
+    }
+}
+
+/// Match a `forall` predicate against a concrete tuple, binding `slots`
+/// (no symbolic handling).
+fn match_forall(ops: &[ArgOp], tuple: &Tuple, slots: &mut [Value]) -> bool {
+    if tuple.len() != ops.len() {
+        return false;
+    }
+    for (op, value) in ops.iter().zip(tuple) {
+        match op {
+            ArgOp::Bind(slot) => slots[*slot] = value.clone(),
+            ArgOp::Check(slot) => {
+                if &slots[*slot] != value {
+                    return false;
+                }
+            }
+            ArgOp::Same(pos) => {
+                if &tuple[*pos] != value {
+                    return false;
+                }
+            }
+            ArgOp::Const(expected) => {
+                if expected != value {
+                    return false;
+                }
+            }
+            ArgOp::Never => return false,
+        }
+    }
+    true
+}
+
+impl CopBuilder {
     fn new_sym(&mut self, expr: LinExpr) -> Value {
         self.syms.push(expr);
         Value::Sym(SymId((self.syms.len() - 1) as u32))
@@ -617,309 +1656,55 @@ impl<'a> GroundingRun<'a> {
         }
     }
 
-    fn is_solver_table(&self, relation: &str) -> bool {
-        self.analysis.solver_tables.is_solver_table(relation)
-            || self.solver_tables.contains_key(relation)
-    }
-
-    fn table_tuples(&self, relation: &str) -> Rc<Vec<Tuple>> {
-        if self.is_solver_table(relation) {
-            Rc::new(
-                self.solver_tables
-                    .get(relation)
-                    .cloned()
-                    .unwrap_or_default(),
-            )
-        } else {
-            if let Some(hit) = self.table_cache.borrow().get(relation) {
-                return Rc::clone(hit);
-            }
-            let tuples = Rc::new(self.engine.tuples(relation));
-            self.table_cache
-                .borrow_mut()
-                .insert(relation.to_string(), Rc::clone(&tuples));
-            tuples
+    /// Extend `row` by `tuple` into `next` if the tuple matches `pred`.
+    /// With `force` (constraint rules), a clash between a bound value and a
+    /// tuple value where at least one side is symbolic is accepted and
+    /// turned into an equality constraint — this is how
+    /// `assign(X,Y,C) -> assign(Y,X,C)` (channel symmetry) is enforced.
+    fn extend(
+        &mut self,
+        ops: &[ArgOp],
+        tuple: &Tuple,
+        row: &[Value],
+        force: bool,
+        next: &mut Frontier,
+    ) {
+        if tuple.len() != ops.len() {
+            return;
         }
-    }
-
-    // ----- var declarations -------------------------------------------------
-
-    fn ground_var_decls(&mut self) -> Result<(), CologneError> {
-        let plan = self.plan;
-        let program = self.program;
-        for vp in &plan.var_plans {
-            // A declaration whose forall relation saw no visible change since
-            // the previous grounding reproduces last run's output exactly:
-            // replay it from the cache instead of re-joining.
-            let clean = self.delta.is_some_and(|d| d.is_clean(&vp.forall_relation));
-            if clean && self.var_caches[vp.decl].is_some() {
-                self.replay_var_decl(vp);
-                continue;
-            }
-            let vd = &program.vars[vp.decl];
-            let domain = vp.domain;
-            let sym_start = self.syms.len();
-            let row_start = self.solver_tables.get(&vd.table.name).map_or(0, Vec::len);
-            let forall_tuples = self.table_tuples(&vd.forall.name);
-            for tuple in forall_tuples.iter() {
-                let mut bindings = Bindings::new();
-                if !match_predicate(&vd.forall, tuple, &mut bindings, self.params) {
+        for (op, value) in ops.iter().zip(tuple) {
+            let existing = match op {
+                ArgOp::Bind(_) => continue,
+                ArgOp::Check(slot) => &row[*slot],
+                ArgOp::Same(pos) => &tuple[*pos],
+                ArgOp::Const(expected) => {
+                    if expected != value {
+                        return;
+                    }
                     continue;
                 }
-                let mut row = Vec::with_capacity(vd.table.args.len());
-                for (i, arg) in vd.table.args.iter().enumerate() {
-                    if vp.is_solver_position[i] {
-                        let name = format!(
-                            "{}[{}]",
-                            vd.table.name,
-                            tuple
-                                .iter()
-                                .map(|v| v.to_string())
-                                .collect::<Vec<_>>()
-                                .join(",")
-                        );
-                        let var = self.model.new_named_var(domain.lo, domain.hi, Some(name));
-                        // `var`-declared solver attributes are the COP's
-                        // decision variables; the LNS mode builds its
-                        // neighborhoods from them (auxiliary variables made
-                        // by aggregates/expressions stay unmarked — they are
-                        // functionally determined by these).
-                        self.model.mark_decision(var);
-                        row.push(self.new_sym(LinExpr::var(var)));
-                    } else {
-                        match arg {
-                            Arg::Loc(v) | Arg::Var(v) => match bindings.get(v) {
-                                Some(val) => row.push(val.clone()),
-                                None => {
-                                    return Err(CologneError::UnboundVariable {
-                                        rule: format!("var {}", vd.table.name),
-                                        variable: v.clone(),
-                                    })
-                                }
-                            },
-                            Arg::Const(lit) => {
-                                row.push(crate::translate::literal_to_value(lit, self.params)?)
-                            }
-                            Arg::Agg(_, _) => {
-                                return Err(CologneError::UnsupportedExpression {
-                                    rule: format!("var {}", vd.table.name),
-                                    detail: "aggregate in var declaration".into(),
-                                })
-                            }
-                        }
-                    }
+                ArgOp::Never => return,
+            };
+            if existing != value {
+                if force && (existing.is_symbolic() || value.is_symbolic()) {
+                    self.post_value_equality(existing, value);
+                } else {
+                    return;
                 }
-                self.solver_tables
-                    .entry(vd.table.name.clone())
-                    .or_default()
-                    .push(row);
-            }
-            // Make sure the table exists even if the forall relation is empty.
-            self.solver_tables.entry(vd.table.name.clone()).or_default();
-            if self.capture {
-                self.capture_var_decl(vp, sym_start, row_start);
             }
         }
-        Ok(())
+        next.push_extended(row, ops, tuple);
     }
 
-    /// Refresh the replay cache of a declaration that was just grounded
-    /// live: its rows sit at the tail of its solver table (from `row_start`)
-    /// and its variables occupy the contiguous symbol block starting at
-    /// `sym_start`.
-    fn capture_var_decl(&mut self, vp: &VarPlan, sym_start: usize, row_start: usize) {
-        let names: Vec<String> = self.syms[sym_start..]
-            .iter()
-            .map(|expr| {
-                let var = expr.as_var().expect("var-declared symbols are variables");
-                self.model
-                    .var_name(var)
-                    .expect("var-declared solver variables are named")
-                    .to_string()
-            })
-            .collect();
-        let rows = self
-            .solver_tables
-            .get(&vp.table)
-            .map(|rows| rows[row_start..].to_vec())
-            .unwrap_or_default();
-        self.var_caches[vp.decl] = Some(VarDeclCache {
-            sym_start,
-            names,
-            rows,
-        });
-    }
-
-    /// Replay a clean declaration from its cache: allocate the cached
-    /// variables in order (identical names, domain and decision marking to a
-    /// live grounding) and re-emit the cached rows with their symbolic
-    /// attributes shifted onto the freshly allocated symbol block.
-    fn replay_var_decl(&mut self, vp: &VarPlan) {
-        let cache = self.var_caches[vp.decl]
-            .take()
-            .expect("replay requires a cache");
-        let new_start = self.syms.len();
-        let domain = vp.domain;
-        for name in &cache.names {
-            let var = self
-                .model
-                .new_named_var(domain.lo, domain.hi, Some(name.clone()));
-            self.model.mark_decision(var);
-            self.syms.push(LinExpr::var(var));
-        }
-        let shift = |v: &Value| match v {
-            Value::Sym(s) => {
-                let local = s.0 as usize - cache.sym_start;
-                Value::Sym(SymId((new_start + local) as u32))
+    fn post_value_equality(&mut self, a: &Value, b: &Value) {
+        let to_expr = |g: &Self, v: &Value| -> LinExpr {
+            match v {
+                Value::Sym(s) => g.sym_expr(*s).clone(),
+                other => LinExpr::constant(concrete_int(other)),
             }
-            other => other.clone(),
         };
-        let rows: Vec<Tuple> = cache
-            .rows
-            .iter()
-            .map(|row| row.iter().map(shift).collect())
-            .collect();
-        self.solver_tables
-            .entry(vp.table.clone())
-            .or_default()
-            .extend(rows.iter().cloned());
-        self.var_caches[vp.decl] = Some(VarDeclCache {
-            sym_start: new_start,
-            names: cache.names,
-            rows,
-        });
-    }
-
-    // ----- solver derivation rules -------------------------------------------
-
-    fn ground_derivation_rules(&mut self) -> Result<(), CologneError> {
-        let plan = self.plan;
-        let program = self.program;
-        for &idx in &plan.deriv_order {
-            self.ground_derivation(&program.rules[idx])?;
-        }
-        Ok(())
-    }
-
-    fn ground_derivation(&mut self, rule: &RuleDecl) -> Result<(), CologneError> {
-        let bindings_list = self.join_body(rule, &rule.body, false)?;
-        if rule.head.has_aggregate() {
-            self.emit_aggregate_head(rule, &bindings_list)?;
-        } else {
-            let mut rows = Vec::new();
-            for b in &bindings_list {
-                rows.push(self.instantiate_head(rule, b)?);
-            }
-            self.solver_tables
-                .entry(rule.head.name.clone())
-                .or_default()
-                .extend(rows);
-        }
-        Ok(())
-    }
-
-    fn instantiate_head(
-        &mut self,
-        rule: &RuleDecl,
-        bindings: &Bindings,
-    ) -> Result<Tuple, CologneError> {
-        let mut row = Vec::with_capacity(rule.head.args.len());
-        for arg in &rule.head.args {
-            match arg {
-                Arg::Loc(v) | Arg::Var(v) => match bindings.get(v) {
-                    Some(val) => row.push(val.clone()),
-                    None => {
-                        return Err(CologneError::UnboundVariable {
-                            rule: rule.label.clone(),
-                            variable: v.clone(),
-                        })
-                    }
-                },
-                Arg::Const(lit) => row.push(crate::translate::literal_to_value(lit, self.params)?),
-                Arg::Agg(_, _) => unreachable!("aggregate heads handled separately"),
-            }
-        }
-        Ok(row)
-    }
-
-    fn emit_aggregate_head(
-        &mut self,
-        rule: &RuleDecl,
-        bindings_list: &[Bindings],
-    ) -> Result<(), CologneError> {
-        // group key -> per-aggregate-column operand values
-        let agg_args: Vec<(usize, AggFunc, String)> = rule
-            .head
-            .args
-            .iter()
-            .enumerate()
-            .filter_map(|(i, a)| match a {
-                Arg::Agg(f, v) => Some((i, *f, v.clone())),
-                _ => None,
-            })
-            .collect();
-        let mut groups: BTreeMap<Tuple, Vec<Vec<Value>>> = BTreeMap::new();
-        for b in bindings_list {
-            let mut key = Vec::new();
-            let mut operands: Vec<Value> = Vec::with_capacity(agg_args.len());
-            let mut ok = true;
-            for arg in &rule.head.args {
-                match arg {
-                    Arg::Loc(v) | Arg::Var(v) => match b.get(v) {
-                        Some(val) => key.push(val.clone()),
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    },
-                    Arg::Const(lit) => {
-                        key.push(crate::translate::literal_to_value(lit, self.params)?)
-                    }
-                    Arg::Agg(_, v) => match b.get(v) {
-                        Some(val) => operands.push(val.clone()),
-                        None => {
-                            ok = false;
-                            break;
-                        }
-                    },
-                }
-            }
-            if !ok {
-                return Err(CologneError::UnboundVariable {
-                    rule: rule.label.clone(),
-                    variable: "<head>".into(),
-                });
-            }
-            let entry = groups
-                .entry(key)
-                .or_insert_with(|| vec![Vec::new(); agg_args.len()]);
-            for (slot, v) in entry.iter_mut().zip(operands) {
-                slot.push(v);
-            }
-        }
-        let mut rows = Vec::with_capacity(groups.len());
-        for (key, operand_lists) in groups {
-            let mut agg_values: Vec<Value> = Vec::with_capacity(agg_args.len());
-            for ((_, func, _), operands) in agg_args.iter().zip(operand_lists.iter()) {
-                agg_values.push(self.compute_aggregate(*func, operands)?);
-            }
-            // Interleave key values and aggregate values back into head order.
-            let mut row = Vec::with_capacity(rule.head.args.len());
-            let mut key_iter = key.into_iter();
-            let mut agg_iter = agg_values.into_iter();
-            for arg in &rule.head.args {
-                match arg {
-                    Arg::Agg(_, _) => row.push(agg_iter.next().expect("aggregate arity")),
-                    _ => row.push(key_iter.next().expect("group-by arity")),
-                }
-            }
-            rows.push(row);
-        }
-        self.solver_tables
-            .entry(rule.head.name.clone())
-            .or_default()
-            .extend(rows);
-        Ok(())
+        let diff = to_expr(self, a).minus(&to_expr(self, b)).normalized();
+        self.model.linear_eq(&diff.terms, -diff.constant);
     }
 
     fn compute_aggregate(
@@ -969,126 +1754,6 @@ impl<'a> GroundingRun<'a> {
         Ok(self.new_sym(LinExpr::var(result_var)))
     }
 
-    // ----- solver constraint rules -------------------------------------------
-
-    fn ground_constraint_rules(&mut self) -> Result<(), CologneError> {
-        let plan = self.plan;
-        let program = self.program;
-        for (idx, elems) in &plan.constraint_elems {
-            let rule = &program.rules[*idx];
-            // Expressions are posted as hard constraints during the join
-            // (force=true); the surviving bindings themselves are not needed.
-            self.join_body(rule, elems, true)?;
-        }
-        Ok(())
-    }
-
-    // ----- body evaluation ----------------------------------------------------
-
-    /// Join body elements against the database. `force` selects constraint
-    /// semantics: expressions over solver attributes are posted as *hard*
-    /// constraints and symbolic join conflicts become equality constraints.
-    fn join_body(
-        &mut self,
-        rule: &RuleDecl,
-        elems: &[BodyElem],
-        force: bool,
-    ) -> Result<Vec<Bindings>, CologneError> {
-        let mut frontier = vec![Bindings::new()];
-        for elem in elems {
-            if frontier.is_empty() {
-                break;
-            }
-            let mut next = Vec::new();
-            match elem {
-                BodyElem::Pred(pred) => {
-                    let tuples = self.table_tuples(&pred.name);
-                    for b in &frontier {
-                        for t in tuples.iter() {
-                            let mut nb = b.clone();
-                            if self.match_with_symbolic(pred, t, &mut nb, force) {
-                                next.push(nb);
-                            }
-                        }
-                    }
-                }
-                BodyElem::Expr(expr) => {
-                    for b in &frontier {
-                        let mut nb = b.clone();
-                        if self.apply_expression(rule, expr, &mut nb, force)? {
-                            next.push(nb);
-                        }
-                    }
-                }
-                BodyElem::Assign(var, expr) => {
-                    for b in &frontier {
-                        let mut nb = b.clone();
-                        let val = self.translate(rule, expr, &nb)?;
-                        let value = self.symval_to_value(val);
-                        nb.set(var, value);
-                        next.push(nb);
-                    }
-                }
-            }
-            frontier = next;
-        }
-        Ok(frontier)
-    }
-
-    /// Match a predicate against a tuple. With `equate_symbolic` (constraint
-    /// rules), a clash between an already-bound value and a tuple value where
-    /// at least one side is symbolic is accepted and turned into an equality
-    /// constraint — this is how `assign(X,Y,C) -> assign(Y,X,C)` (channel
-    /// symmetry) is enforced.
-    fn match_with_symbolic(
-        &mut self,
-        pred: &Predicate,
-        tuple: &Tuple,
-        bindings: &mut Bindings,
-        equate_symbolic: bool,
-    ) -> bool {
-        if tuple.len() != pred.args.len() {
-            return false;
-        }
-        for (arg, value) in pred.args.iter().zip(tuple.iter()) {
-            match arg {
-                Arg::Const(lit) => {
-                    let Ok(expected) = crate::translate::literal_to_value(lit, self.params) else {
-                        return false;
-                    };
-                    if &expected != value {
-                        return false;
-                    }
-                }
-                Arg::Loc(v) | Arg::Var(v) => match bindings.get(v).cloned() {
-                    None => bindings.set(v, value.clone()),
-                    Some(existing) if &existing == value => {}
-                    Some(existing) => {
-                        let symbolic = existing.is_symbolic() || value.is_symbolic();
-                        if equate_symbolic && symbolic {
-                            self.post_value_equality(&existing, value);
-                        } else {
-                            return false;
-                        }
-                    }
-                },
-                Arg::Agg(_, _) => return false,
-            }
-        }
-        true
-    }
-
-    fn post_value_equality(&mut self, a: &Value, b: &Value) {
-        let to_expr = |g: &Self, v: &Value| -> LinExpr {
-            match v {
-                Value::Sym(s) => g.sym_expr(*s).clone(),
-                other => LinExpr::constant(concrete_int(other)),
-            }
-        };
-        let diff = to_expr(self, a).minus(&to_expr(self, b)).normalized();
-        self.model.linear_eq(&diff.terms, -diff.constant);
-    }
-
     // ----- expression translation ----------------------------------------------
 
     fn symval_to_value(&mut self, val: SymVal) -> Value {
@@ -1114,41 +1779,30 @@ impl<'a> GroundingRun<'a> {
         }
     }
 
-    /// Apply a body expression to a binding. Returns whether the binding
-    /// survives (concrete filters may reject it). Symbolic expressions either
-    /// bind new solver variables (derivation rules, `C == V*Cpu`) or are
-    /// posted as constraints.
-    fn apply_expression(
+    /// Apply a compiled body expression to a binding. Returns whether the
+    /// binding survives (concrete filters may reject it). Symbolic
+    /// expressions either bind new solver expressions (`C == V*Cpu`, the
+    /// indicator pattern) or are posted as constraints.
+    fn apply(
         &mut self,
-        rule: &RuleDecl,
-        expr: &CExpr,
-        bindings: &mut Bindings,
-        force: bool,
+        code: &Code,
+        rule: &RulePlan,
+        cond: &Cond,
+        row: &mut [Value],
     ) -> Result<bool, CologneError> {
-        // Pattern 1: X == rhs with X unbound — bind X.
-        if let CExpr::Bin(COp::Eq, lhs, rhs) = expr {
-            for (var_side, other) in [(lhs, rhs), (rhs, lhs)] {
-                if let CExpr::Var(x) = var_side.as_ref() {
-                    if bindings.get(x).is_none() && self.params.constant(x).is_none() {
-                        let val = self.translate(rule, other, bindings)?;
-                        let bound = self.symval_to_value(val);
-                        bindings.set(x, bound);
-                        return Ok(true);
-                    }
-                }
+        match cond {
+            Cond::Bind { slot, rhs } => {
+                let val = self.eval(code, rule, *rhs, row)?;
+                row[*slot] = self.symval_to_value(val);
+                Ok(true)
             }
-            // Pattern 2: (X == k) == rhs with X unbound — indicator variable.
-            for (ind_side, other) in [(lhs, rhs), (rhs, lhs)] {
-                if let CExpr::Bin(COp::Eq, a, b) = ind_side.as_ref() {
-                    let (x, k) = match (a.as_ref(), b.as_ref()) {
-                        (CExpr::Var(x), other_side) => (x, other_side),
-                        (other_side, CExpr::Var(x)) => (x, other_side),
-                        _ => continue,
-                    };
-                    if bindings.get(x).is_some() || self.params.constant(x).is_some() {
-                        continue;
-                    }
-                    let k_val = match self.translate(rule, k, bindings)? {
+            Cond::Indicator {
+                orientations,
+                lhs,
+                rhs,
+            } => {
+                for ind in orientations.iter().flatten() {
+                    let k_val = match self.eval(code, rule, ind.k, row)? {
                         SymVal::Concrete(c) => c,
                         _ => continue,
                     };
@@ -1161,44 +1815,52 @@ impl<'a> GroundingRun<'a> {
                     let x_var = self.model.new_var_from_values(&values);
                     let b = self.model.new_bool();
                     self.model.reif_linear_eq(b, &[(1, x_var)], k_val);
-                    let cond = self.translate(rule, other, bindings)?;
+                    let cond = self.eval(code, rule, ind.rhs, row)?;
                     let cond_lin = self.symval_to_linear(cond);
                     let mut terms = vec![(1i64, b)];
                     for &(c, v) in &cond_lin.terms {
                         terms.push((-c, v));
                     }
                     self.model.linear_eq(&terms, cond_lin.constant);
-                    let sym = self.new_sym(LinExpr::var(x_var));
-                    bindings.set(x, sym);
+                    row[ind.slot] = self.new_sym(LinExpr::var(x_var));
                     return Ok(true);
                 }
+                self.require(code, rule, COp::Eq, *lhs, *rhs, row)
             }
+            Cond::Compare { op, lhs, rhs } => self.require(code, rule, *op, *lhs, *rhs, row),
+            // Any other condition must be concrete.
+            Cond::Truth(expr) => match self.eval(code, rule, *expr, row)? {
+                SymVal::Concrete(c) => Ok(self.concrete_condition(c != 0, rule.force)),
+                _ => Err(CologneError::UnsupportedExpression {
+                    rule: code.label(rule).to_string(),
+                    detail: "non-boolean expression used as a condition".into(),
+                }),
+            },
         }
-        // Pattern 3: a comparison that must hold, posted directly as a
-        // linear constraint over the two sides' expressions.
-        if let CExpr::Bin(op, a, b) = expr {
-            if op.is_comparison() {
-                let lhs = self.translate(rule, a, bindings)?;
-                let rhs = self.translate(rule, b, bindings)?;
-                if let (SymVal::Concrete(x), SymVal::Concrete(y)) = (&lhs, &rhs) {
-                    return Ok(self.concrete_condition(compare(*op, *x, *y), force));
-                }
-                let diff = self
-                    .symval_to_linear(lhs)
-                    .minus(&self.symval_to_linear(rhs))
-                    .normalized();
-                self.post_comparison(*op, &diff);
-                return Ok(true);
-            }
+    }
+
+    /// A comparison that must hold, posted directly as a linear constraint
+    /// over the two sides' expressions.
+    fn require(
+        &mut self,
+        code: &Code,
+        rule: &RulePlan,
+        op: COp,
+        lhs: Ex,
+        rhs: Ex,
+        row: &[Value],
+    ) -> Result<bool, CologneError> {
+        let lhs = self.eval(code, rule, lhs, row)?;
+        let rhs = self.eval(code, rule, rhs, row)?;
+        if let (SymVal::Concrete(x), SymVal::Concrete(y)) = (&lhs, &rhs) {
+            return Ok(self.concrete_condition(compare(op, *x, *y), rule.force));
         }
-        // Any other condition must be concrete.
-        match self.translate(rule, expr, bindings)? {
-            SymVal::Concrete(c) => Ok(self.concrete_condition(c != 0, force)),
-            _ => Err(CologneError::UnsupportedExpression {
-                rule: rule.label.clone(),
-                detail: "non-boolean expression used as a condition".into(),
-            }),
-        }
+        let diff = self
+            .symval_to_linear(lhs)
+            .minus(&self.symval_to_linear(rhs))
+            .normalized();
+        self.post_comparison(op, &diff);
+        Ok(true)
     }
 
     /// Apply a condition whose truth value is known: a false one drops the
@@ -1225,49 +1887,44 @@ impl<'a> GroundingRun<'a> {
         }
     }
 
-    /// Translate an expression to a [`SymVal`] under the given bindings.
-    fn translate(
+    /// Evaluate a compiled expression under a binding.
+    fn eval(
         &mut self,
-        rule: &RuleDecl,
-        expr: &CExpr,
-        bindings: &Bindings,
+        code: &Code,
+        rule: &RulePlan,
+        expr: Ex,
+        row: &[Value],
     ) -> Result<SymVal, CologneError> {
-        match expr {
-            CExpr::Var(v) => match bindings.get(v) {
-                Some(Value::Sym(s)) => Ok(SymVal::Sym(*s)),
-                Some(Value::Int(i)) => Ok(SymVal::Concrete(*i)),
-                Some(Value::Bool(b)) => Ok(SymVal::Concrete(i64::from(*b))),
-                Some(Value::Float(f)) => Ok(SymVal::Concrete(f.0.round() as i64)),
+        match &code.nodes[expr] {
+            Node::Slot(slot) => match &row[*slot] {
+                Value::Sym(s) => Ok(SymVal::Sym(*s)),
+                Value::Int(i) => Ok(SymVal::Concrete(*i)),
+                Value::Bool(b) => Ok(SymVal::Concrete(i64::from(*b))),
+                Value::Float(f) => Ok(SymVal::Concrete(f.0.round() as i64)),
                 // Node addresses may be compared for (in)equality in rule
                 // bodies (e.g. `Y != Z` in the wireless cost rules); their
                 // numeric id is the natural integer view.
-                Some(Value::Addr(n)) => Ok(SymVal::Concrete(n.0 as i64)),
-                Some(other) => Err(CologneError::UnsupportedExpression {
-                    rule: rule.label.clone(),
+                Value::Addr(n) => Ok(SymVal::Concrete(n.0 as i64)),
+                other => Err(CologneError::UnsupportedExpression {
+                    rule: code.label(rule).to_string(),
                     detail: format!("value {other} in arithmetic expression"),
                 }),
-                None => self
-                    .params
-                    .constant(v)
-                    .map(SymVal::Concrete)
-                    .ok_or_else(|| CologneError::UnboundVariable {
-                        rule: rule.label.clone(),
-                        variable: v.clone(),
-                    }),
             },
-            CExpr::Lit(lit) => {
-                let value = crate::translate::literal_to_value(lit, self.params)?;
-                Ok(SymVal::Concrete(concrete_int(&value)))
-            }
-            CExpr::Neg(inner) => {
-                let v = self.translate(rule, inner, bindings)?;
+            Node::Int(c) => Ok(SymVal::Concrete(*c)),
+            Node::Unbound(name) => Err(CologneError::UnboundVariable {
+                rule: code.label(rule).to_string(),
+                variable: code.text(*name).to_string(),
+            }),
+            Node::Fail(e) => Err((**e).clone()),
+            Node::Neg(inner) => {
+                let v = self.eval(code, rule, *inner, row)?;
                 Ok(match v {
                     SymVal::Concrete(c) => SymVal::Concrete(-c),
                     other => SymVal::Linear(self.symval_to_linear(other).scale(-1)),
                 })
             }
-            CExpr::Abs(inner) => {
-                let v = self.translate(rule, inner, bindings)?;
+            Node::Abs(inner) => {
+                let v = self.eval(code, rule, *inner, row)?;
                 match v {
                     SymVal::Concrete(c) => Ok(SymVal::Concrete(c.abs())),
                     other => {
@@ -1277,17 +1934,17 @@ impl<'a> GroundingRun<'a> {
                     }
                 }
             }
-            CExpr::Bin(op, a, b) => {
-                let lhs = self.translate(rule, a, bindings)?;
-                let rhs = self.translate(rule, b, bindings)?;
-                self.translate_binop(rule, *op, lhs, rhs)
+            Node::Bin(op, a, b) => {
+                let lhs = self.eval(code, rule, *a, row)?;
+                let rhs = self.eval(code, rule, *b, row)?;
+                self.translate_binop(code.label(rule), *op, lhs, rhs)
             }
         }
     }
 
     fn translate_binop(
         &mut self,
-        rule: &RuleDecl,
+        label: &str,
         op: COp,
         lhs: SymVal,
         rhs: SymVal,
@@ -1322,7 +1979,7 @@ impl<'a> GroundingRun<'a> {
             Div => match (lhs, rhs) {
                 (SymVal::Concrete(a), SymVal::Concrete(b)) if b != 0 => Ok(SymVal::Concrete(a / b)),
                 _ => Err(CologneError::UnsupportedExpression {
-                    rule: rule.label.clone(),
+                    rule: label.to_string(),
                     detail: "division involving solver variables".into(),
                 }),
             },
@@ -1362,39 +2019,6 @@ impl<'a> GroundingRun<'a> {
             }
         }
     }
-
-    // ----- goal -----------------------------------------------------------------
-
-    fn build_objective(&mut self) -> Result<ObjectiveSpec, CologneError> {
-        let Some(goal) = &self.plan.goal else {
-            return Ok((None, None));
-        };
-        if goal.kind == GoalKind::Satisfy {
-            return Ok((None, Some(goal.relation.clone())));
-        }
-        let position = goal.position.expect("non-satisfy goals have a position");
-        let tuples = self.table_tuples(&goal.relation);
-        if tuples.is_empty() {
-            // Nothing to optimize: leave the objective out; the caller treats
-            // the COP as trivially solved.
-            return Ok((None, Some(goal.relation.clone())));
-        }
-        let mut objective = LinExpr::zero();
-        for t in tuples.iter() {
-            match t.get(position) {
-                Some(Value::Sym(s)) => objective.add_expr(self.sym_expr(*s)),
-                Some(other) => objective.add_constant(concrete_int(other)),
-                None => {}
-            }
-        }
-        // The goal attribute is materialized: the search bounds a variable.
-        let objective = objective.normalized();
-        let var = match objective.as_var() {
-            Some(var) => var,
-            None => self.model.linear_var(&objective.terms, objective.constant),
-        };
-        Ok((Some((goal.kind, var)), Some(goal.relation.clone())))
-    }
 }
 
 /// The integer a concrete value contributes to solver arithmetic.
@@ -1413,34 +2037,6 @@ fn compare(op: COp, a: i64, b: i64) -> bool {
         COp::Ge => a >= b,
         _ => unreachable!("{op:?} is not a comparison"),
     }
-}
-
-/// Match a predicate's arguments against a concrete tuple (no symbolic
-/// handling; used for `forall` bindings).
-fn match_predicate(
-    pred: &Predicate,
-    tuple: &Tuple,
-    bindings: &mut Bindings,
-    params: &ProgramParams,
-) -> bool {
-    if tuple.len() != pred.args.len() {
-        return false;
-    }
-    for (arg, value) in pred.args.iter().zip(tuple.iter()) {
-        match arg {
-            Arg::Const(lit) => match crate::translate::literal_to_value(lit, params) {
-                Ok(expected) if &expected == value => {}
-                _ => return false,
-            },
-            Arg::Loc(v) | Arg::Var(v) => match bindings.get(v).cloned() {
-                None => bindings.set(v, value.clone()),
-                Some(existing) if &existing == value => {}
-                Some(_) => return false,
-            },
-            Arg::Agg(_, _) => return false,
-        }
-    }
-    true
 }
 
 #[cfg(test)]

@@ -307,13 +307,11 @@ impl SolvePipeline {
             self.scratch.recycle(cop);
         }
         let result = if enabled {
-            self.plan
-                .ground_delta(program, analysis, params, engine, &mut self.scratch, delta)
+            self.plan.ground_delta(engine, &mut self.scratch, delta)
         } else {
             // Delta grounding is off: ground without maintaining the replay
             // caches the delta-aware path would consume.
-            self.plan
-                .ground(program, analysis, params, engine, &mut self.scratch)
+            self.plan.ground(engine, &mut self.scratch)
         };
         match &result {
             Ok(_) => self.grounded_before = true,

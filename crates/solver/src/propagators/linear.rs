@@ -166,6 +166,11 @@ impl Propagator for LinearEq {
                 } else if c > 0 {
                     (ceil_div(lo_c, c), hi_c.div_euclid(c))
                 } else {
+                    // Sound but not bounds-consistent: for c < -1 that does
+                    // not divide lo_c, `div_euclid` is one above the floor
+                    // of lo_c / c (linear_eq([(-2,x),(1,y)], 0) with
+                    // x ∈ [0,10], y ∈ [0,5] keeps x = 3, which has no
+                    // support); search refutes the extra value.
                     (ceil_div(hi_c, c), lo_c.div_euclid(c))
                 };
                 changed |= ctx.intersect(v, lo, hi)?;
@@ -238,9 +243,12 @@ impl Propagator for LinearNe {
                     Ok(PropStatus::Entailed)
                 }
             }
+            // A zero coefficient leaves the sum fixed already.
+            Some((0, _)) if fixed_sum == self.bound => Err(Conflict),
+            Some((0, _)) => Ok(PropStatus::Entailed),
             Some((c, v)) => {
                 let remaining = self.bound - fixed_sum;
-                if c != 0 && remaining % c == 0 {
+                if remaining % c == 0 {
                     ctx.remove_value(v, remaining / c)?;
                 }
                 Ok(PropStatus::Entailed)
@@ -328,6 +336,16 @@ mod tests {
         let x = m.new_var(2, 2);
         let y = m.new_var(5, 5);
         m.linear_ne(&[(1, x), (1, y)], 7);
+        assert!(m.propagate_root().is_err());
+    }
+
+    #[test]
+    fn linear_ne_with_zero_coefficient_on_the_open_variable() {
+        // 3x + 0y != 0 forbids x = 0 whatever y is.
+        let mut m = Model::new();
+        let x = m.new_var(0, 0);
+        let y = m.new_var(0, 7);
+        m.linear_ne(&[(3, x), (0, y)], 0);
         assert!(m.propagate_root().is_err());
     }
 

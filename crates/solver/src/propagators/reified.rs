@@ -179,6 +179,8 @@ impl Propagator for ReifLinearEq {
                     let (l, h) = if c > 0 {
                         (ceil_div(lo_c, c), hi_c.div_euclid(c))
                     } else {
+                        // Sound but not bounds-consistent for c < -1: see
+                        // the same bound in `LinearEq::prune`.
                         (ceil_div(hi_c, c), lo_c.div_euclid(c))
                     };
                     ctx.intersect(v, l, h)?;
@@ -208,9 +210,12 @@ impl Propagator for ReifLinearEq {
                             Ok(PropStatus::Entailed)
                         }
                     }
+                    // A zero coefficient leaves the sum fixed already.
+                    Some((0, _)) if fixed_sum == self.bound => Err(Conflict),
+                    Some((0, _)) => Ok(PropStatus::Entailed),
                     Some((c, v)) => {
                         let remaining = self.bound - fixed_sum;
-                        if c != 0 && remaining % c == 0 {
+                        if remaining % c == 0 {
                             ctx.remove_value(v, remaining / c)?;
                         }
                         Ok(PropStatus::Entailed)
@@ -232,6 +237,17 @@ impl Propagator for ReifLinearEq {
 mod tests {
     use super::*;
     use crate::{Model, SearchConfig};
+
+    #[test]
+    fn reif_eq_false_with_zero_coefficient_on_the_open_variable() {
+        // b = 0 means 3x + 0y != 0, which x = 0 violates whatever y is.
+        let mut m = Model::new();
+        let b = m.new_var(0, 0);
+        let x = m.new_var(0, 0);
+        let y = m.new_var(0, 7);
+        m.reif_linear_eq(b, &[(3, x), (0, y)], 0);
+        assert!(m.propagate_root().is_err());
+    }
 
     #[test]
     fn reif_le_entailed_sets_bool() {
